@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .weights import canonical_method
+
 # 2**13 = 8192 effective power iterations; see module docstring.
 BASE_SQUARINGS = 13
 MAX_SQUARINGS = 24
@@ -84,7 +86,7 @@ def violation_flags(
     margin: float,
     method: str = "eigenvector",
     rtol: float = RESIDUAL_RTOL,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flag matrices whose weight ratios move against an increased judgment.
 
     For every upper-triangle entry (i, j) of each matrix, the entry is
@@ -92,20 +94,24 @@ def violation_flags(
     ``method``, and the matrix is flagged as soon as some ratio w_i/w_k drops
     by more than ``margin`` relative to its unperturbed value. Entries are
     scanned in row-major order and a flagged matrix is not scanned further,
-    which cannot change the flag. Returns ``(violated, ok)`` booleans of shape
-    (B,); ``ok`` is False where some required eigen solve failed to converge.
+    which cannot change the flag. Returns ``(violated, ok, first)``:
+    ``violated`` and ``ok`` are booleans of shape (B,), ``ok`` False where
+    some required eigen solve failed to converge; ``first`` (B, 3) holds the
+    1-based (i, j, k) of each flagged matrix's first drop (smallest k at the
+    flagging entry) and zeros elsewhere.
     """
     mats = np.asarray(mats, dtype=float)
     b, n, _ = mats.shape
-    use_eigen = method in ("eigenvector", "em")
+    use_eigen = canonical_method(method) == "eigenvector"
     violated = np.zeros(b, dtype=bool)
     ok = np.ones(b, dtype=bool)
+    first = np.zeros((b, 3), dtype=np.int64)
     thresh = 1.0 - margin
     for i in range(n - 1):
         for j in range(i + 1, n):
             active = np.flatnonzero(~violated & ok)
             if active.size == 0:
-                return violated, ok
+                return violated, ok, first
             pert = mats[active].copy()
             pert[:, i, j] *= factor
             pert[:, j, i] /= factor
@@ -120,5 +126,9 @@ def violation_flags(
             r1 = w1[:, i, None] / w1  # after
             worse = r1 < r0 * thresh
             worse[:, i] = False  # k = i is identically 1
-            violated[active[np.any(worse, axis=1)]] = True
-    return violated, ok
+            hit = np.any(worse, axis=1)
+            rows = active[hit]
+            violated[rows] = True
+            first[rows, :2] = i + 1, j + 1
+            first[rows, 2] = np.argmax(worse[hit], axis=1) + 1
+    return violated, ok, first

@@ -40,6 +40,7 @@ from .simulate import CrHistogram, histogram_csv_lines, run_simulation
 from .sweep import DEFAULT_CR_OVERFLOW, enumerate_n4_discrete
 from .weights import EIGEN_TOL, MAX_ITERATIONS, eigenvector_method, row_geometric_mean
 
+WORKERS_HELP = "worker processes (at least 1, capped at the CPU count)"
 JSON_SCHEMA = "pcmaudit.run/v1"
 MANIFEST_SCHEMA = "pcmaudit.manifest/v1"
 
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the audit for matrices with CR at or above this")
     p.add_argument("--margin", type=float, default=VIOLATION_MARGIN)
     p.add_argument("--preset", choices=tuple(SIMULATE_PRESETS))
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--out", help="output prefix (writes .csv/.json/.manifest.json)")
     p.set_defaults(func=cmd_simulate)
 
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"CR overflow bucket threshold (default {DEFAULT_CR_OVERFLOW})")
     p.add_argument("--margin", type=float, default=VIOLATION_MARGIN)
     p.add_argument("--preset", choices=tuple(ENUMERATE_PRESETS))
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--checkpoint", help="checkpoint file for resumable sweeps")
     p.add_argument("--checkpoint-every", type=int, default=1_000_000)
     p.add_argument("--resume", action="store_true")
@@ -400,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=4_000_000,
                    help="matrices to average over (default: 4000000)")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--json", help="also write a JSON report to this path")
     p.set_defaults(func=cmd_ri)
     return parser

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import bulk
 from .errors import ConfigurationError, ValidationError
+from .fanout import ordered_map
 from .generate import SUBSTREAM_CHUNK, GeneratorConfig, generate_batch
 from .matrix import PairwiseComparisonMatrix
 from .weights import eigenvector_method
@@ -145,26 +146,18 @@ def estimate_random_index(
 
     Samples are processed in fixed generator chunks and the chunk sums are
     combined in chunk order, so the estimate is bit-identical for any worker
-    count.
+    count. ``workers`` must be at least 1 and is capped at the CPU count.
     """
     if n < 3:
         raise ValidationError(f"random index estimation needs n >= 3, got {n}")
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
     config = GeneratorConfig(n=n, scale=scale, seed=seed)
-    tasks = [(start, min(SUBSTREAM_CHUNK, samples - start))
+    tasks = [(config, start, min(SUBSTREAM_CHUNK, samples - start))
              for start in range(0, samples, SUBSTREAM_CHUNK)]
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [(config, start, count) for start, count in tasks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            sums = list(pool.map(_ci_chunk_sum, args, chunksize=4))
-    else:
-        sums = [_ci_chunk_sum((config, start, count)) for start, count in tasks]
     total = 0.0
     count = 0
-    for s, c in sums:
+    for s, c in ordered_map(_ci_chunk_sum, tasks, workers):
         total += s
         count += c
     if count == 0:
@@ -172,8 +165,7 @@ def estimate_random_index(
     return total / count
 
 
-def _ci_chunk_sum(task: tuple[GeneratorConfig, int, int]) -> tuple[float, int]:
-    config, start, count = task
+def _ci_chunk_sum(config: GeneratorConfig, start: int, count: int) -> tuple[float, int]:
     mats = generate_batch(config, start, count)
     lam, _, _, ok = bulk.perron_batch(mats)
     ci = (lam[ok] - config.n) / (config.n - 1)

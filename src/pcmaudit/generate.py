@@ -60,7 +60,10 @@ class GeneratorConfig:
 
 
 def _substream(seed: int, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, chunk_index]))
+    # the key must be uint64: numpy casts a plain list holding a seed >= 2**63
+    # through float, which maps every such seed onto one stream
+    key = np.array([seed, chunk_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _upper_chunk(config: GeneratorConfig, chunk_index: int) -> np.ndarray:

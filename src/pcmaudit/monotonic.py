@@ -18,13 +18,11 @@ from dataclasses import dataclass, field
 
 from .errors import ConvergenceError, ValidationError
 from .matrix import PairwiseComparisonMatrix, PerturbationSpec, perturb
-from .weights import EIGEN_TOL, method_weights
+from .weights import EIGEN_TOL, canonical_method, method_weights
 
 # A ratio must drop by more than this (relative) to count as a violation.
 # Far below the effect sizes this audit exists to find, far above eigen noise.
 VIOLATION_MARGIN = 1e-9
-
-METHODS = ("eigenvector", "row_geometric_mean")
 
 
 @dataclass(frozen=True)
@@ -75,15 +73,6 @@ class MonotonicityReport:
         return json.dumps(self.to_dict())
 
 
-def _canonical_method(method: str) -> str:
-    key = method.lower()
-    if key in ("eigenvector", "em"):
-        return "eigenvector"
-    if key in ("row_geometric_mean", "rgm", "geometric"):
-        return "row_geometric_mean"
-    raise ValidationError(f"unknown weighting method {method!r}")
-
-
 def check_monotonicity(
     a: PairwiseComparisonMatrix,
     method: str = "eigenvector",
@@ -103,7 +92,7 @@ def check_monotonicity(
         raise ValidationError(f"audit factor must exceed 1, got {factor}")
     if margin < 0:
         raise ValidationError(f"margin must be nonnegative, got {margin}")
-    method = _canonical_method(method)
+    method = canonical_method(method)
     w0 = method_weights(a, method, **eigen_kwargs)
     violations: list[ViolationRecord] = []
     weak: list[tuple[int, int]] = []
@@ -160,14 +149,3 @@ def min_violation_factor_scan(
                                         **eigen_kwargs)
     return reports
 
-
-def first_violation(
-    a: PairwiseComparisonMatrix,
-    factor: float,
-    margin: float = VIOLATION_MARGIN,
-    **eigen_kwargs,
-) -> ViolationRecord | None:
-    """The (i, j, k)-smallest eigenvector violation on this matrix, if any."""
-    report = check_monotonicity(a, method="eigenvector", factor=factor, margin=margin,
-                                **eigen_kwargs)
-    return report.violations[0] if report.violations else None

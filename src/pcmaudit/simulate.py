@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bulk
-from .consistency import default_random_index_table
-from .errors import ConfigurationError, ValidationError
-from .generate import SUBSTREAM_CHUNK, GeneratorConfig, generate_batch, matrices_from_upper
+from .consistency import CI_NOISE_CLAMP, default_random_index_table
+from .errors import ValidationError
+from .fanout import ordered_map
+from .generate import SUBSTREAM_CHUNK, GeneratorConfig, generate_batch
 from .monotonic import VIOLATION_MARGIN
 
 # CR values this close to a bin boundary are assigned to the lower bin and
@@ -205,27 +206,50 @@ def histogram_csv_lines(hist: CrHistogram) -> list[str]:
     return lines
 
 
-def _first_violation_indices(
-    mat: np.ndarray, factor: float, margin: float
-) -> tuple[int, int, int]:
-    """(i, j, k) of the first ratio drop, 1-based, using the bulk arithmetic."""
-    n = mat.shape[0]
-    _, w0, _, _ = bulk.perron_batch(mat[None, :, :])
-    thresh = 1.0 - margin
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            pert = mat[None, :, :].copy()
-            pert[:, i, j] *= factor
-            pert[:, j, i] /= factor
-            _, w1, _, _ = bulk.perron_batch(pert)
-            r0 = w0[0, i] / w0[0]
-            r1 = w1[0, i] / w1[0]
-            worse = r1 < r0 * thresh
-            worse[i] = False
-            if np.any(worse):
-                k = int(np.argmax(worse))
-                return i + 1, j + 1, k + 1
-    raise ValidationError("matrix shows no violation at this factor and margin")
+def audit_population(
+    mats: np.ndarray,
+    ri: float,
+    beta: float,
+    factors: tuple[float, ...],
+    cap: float | None,
+    margin: float,
+    audit_overflow: bool,
+) -> dict[float, CrHistogram]:
+    """Bin a (B, n, n) batch by CR and tally violations at each factor.
+
+    One base Perron solve serves every factor. Matrices whose base solve,
+    CI or audit fails count as failures. With ``audit_overflow`` False the
+    audit skips matrices binned in the cap's overflow bucket; they still
+    count toward totals. Each histogram keeps the lowest-CR violating matrix
+    with its first violating (i, j, k).
+    """
+    n = mats.shape[1]
+    hists = {f: CrHistogram(beta=beta, cap=cap) for f in factors}
+    lam, w0, _, ok = bulk.perron_batch(mats)
+    ci = (lam - n) / (n - 1)
+    ok &= ci >= -CI_NOISE_CLAMP
+    cr = np.maximum(ci, 0.0) / ri
+
+    audit = ok.copy()
+    if cap is not None and not audit_overflow:
+        # gate on the assigned bin, not the raw value, so a CR tied onto the
+        # cap boundary (which bins low) still gets audited
+        gate = hists[factors[0]]
+        bins, _ = gate.assign_bins(cr)
+        audit &= bins < gate.cap_bins
+    idx = np.flatnonzero(audit)
+    for factor, hist in hists.items():
+        flags, ok_audit, first = bulk.violation_flags(mats[idx], w0[idx], factor, margin)
+        counted = ok.copy()
+        counted[idx[~ok_audit]] = False
+        violated = np.zeros(len(mats), dtype=bool)
+        violated[idx] = flags
+        hist.record_failures(int(np.count_nonzero(~counted)))
+        hist.record_array(cr[counted], audit[counted], violated[counted])
+        if flags.any():
+            hit = idx[flags]
+            hist.offer_min_example(_min_example(mats[hit], cr[hit], first[flags]))
+    return hists
 
 
 def simulate_chunk(
@@ -239,52 +263,21 @@ def simulate_chunk(
     ri: float,
 ) -> CrHistogram:
     """Steps of the pipeline for ordinals [start, start + count)."""
-    hist = CrHistogram(beta=beta, cap=cr_cap)
     mats = generate_batch(config, start, count)
-    lam, w0, _, ok = bulk.perron_batch(mats)
-    ci = (lam - config.n) / (config.n - 1)
-    ok &= ci >= -1e-9
-    ci = np.maximum(ci, 0.0)
-    cr = ci / ri
-
-    checked = ok.copy()
-    if cr_cap is not None:
-        # gate on the assigned bin, not the raw value, so a CR tied onto the
-        # cap boundary (which bins low) still gets audited
-        bins, _ = hist.assign_bins(cr)
-        checked &= bins < hist.cap_bins
-    violated = np.zeros(count, dtype=bool)
-    idx = np.flatnonzero(checked)
-    if idx.size:
-        flags, ok_mono = bulk.violation_flags(mats[idx], w0[idx], factor, margin)
-        violated[idx] = flags
-        ok[idx[~ok_mono]] = False
-        checked[idx[~ok_mono]] = False
-
-    hist.record_failures(int(np.count_nonzero(~ok)))
-    hist.record_array(cr[ok], checked[ok], violated[ok])
-
-    hit = np.flatnonzero(violated & ok)
-    if hit.size:
-        hist.offer_min_example(_min_example(mats[hit], cr[hit], factor, margin))
-    return hist
+    return audit_population(mats, ri, beta, (factor,), cr_cap, margin,
+                            audit_overflow=False)[factor]
 
 
-def _min_example(
-    mats: np.ndarray, cr: np.ndarray, factor: float, margin: float
-) -> MinCrExample:
-    """Pick the lowest-CR violating matrix (ties broken by upper triangle)."""
+def _min_example(mats: np.ndarray, cr: np.ndarray, first: np.ndarray) -> MinCrExample:
+    """Pick the lowest-CR violating matrix (ties broken by upper triangle);
+    ``first`` holds each matrix's witnessing (i, j, k)."""
     n = mats.shape[1]
     iu, ju = np.triu_indices(n, 1)
     upper = mats[:, iu, ju]
     keys = tuple(upper[:, c] for c in range(upper.shape[1] - 1, -1, -1)) + (cr,)
     best = int(np.lexsort(keys)[0])
-    i, j, k = _first_violation_indices(mats[best], factor, margin)
+    i, j, k = (int(v) for v in first[best])
     return MinCrExample(tuple(float(v) for v in upper[best]), float(cr[best]), i, j, k)
-
-
-def _simulate_task(args) -> CrHistogram:
-    return simulate_chunk(*args)
 
 
 def run_simulation(
@@ -301,7 +294,8 @@ def run_simulation(
     ``cr_cap`` skips the monotonicity audit for matrices binned at or above
     it (they still count toward totals, in the overflow bucket; a CR within
     the boundary-tie tolerance of the cap bins low and is audited). Results
-    are identical for any ``workers`` value.
+    are identical for any ``workers`` value; it must be at least 1 and is
+    capped at the CPU count.
     """
     if iterations < 1:
         raise ValidationError(f"need at least one iteration, got {iterations}")
@@ -312,13 +306,6 @@ def run_simulation(
               beta, factor, cr_cap, margin, ri)
              for start in range(0, iterations, SUBSTREAM_CHUNK)]
     result = CrHistogram(beta=beta, cap=cr_cap)
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_simulate_task, tasks, chunksize=1):
-                result.merge(part)
-    else:
-        for task in tasks:
-            result.merge(_simulate_task(task))
+    for part in ordered_map(simulate_chunk, tasks, workers):
+        result.merge(part)
     return result

@@ -21,12 +21,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import bulk
 from .consistency import default_random_index_table
 from .errors import ConfigurationError, ValidationError
+from .fanout import ordered_map
 from .generate import SAATY_VALUES, matrices_from_upper
 from .monotonic import VIOLATION_MARGIN
-from .simulate import CrHistogram, _min_example
+from .simulate import CrHistogram, audit_population
 
 MATRIX_SIZE = 4
 UPPER_ENTRIES = 6
@@ -77,32 +77,8 @@ def sweep_chunk(
     ri = default_random_index_table("discrete").lookup(MATRIX_SIZE)
     first = ((start + stride - 1) // stride) * stride
     ordinals = np.arange(first, stop, stride, dtype=np.int64)
-    hists = {f: CrHistogram(beta=beta, cap=cap) for f in factors}
-    if ordinals.size == 0:
-        return hists
     mats = matrices_from_upper(MATRIX_SIZE, ordinal_to_upper(ordinals))
-    lam, w0, _, ok = bulk.perron_batch(mats)
-    ci = (lam - MATRIX_SIZE) / (MATRIX_SIZE - 1)
-    ok &= ci >= -1e-9
-    ci = np.maximum(ci, 0.0)
-    cr = ci / ri
-    idx = np.flatnonzero(ok)
-    for factor, hist in hists.items():
-        violated = np.zeros(ordinals.size, dtype=bool)
-        ok_f = ok.copy()
-        flags, ok_mono = bulk.violation_flags(mats[idx], w0[idx], factor, margin)
-        violated[idx] = flags
-        ok_f[idx[~ok_mono]] = False
-        hist.record_failures(int(np.count_nonzero(~ok_f)))
-        hist.record_array(cr[ok_f], ok_f[ok_f], violated[ok_f])
-        hit = np.flatnonzero(violated & ok_f)
-        if hit.size:
-            hist.offer_min_example(_min_example(mats[hit], cr[hit], factor, margin))
-    return hists
-
-
-def _sweep_task(args) -> dict[float, CrHistogram]:
-    return sweep_chunk(*args)
+    return audit_population(mats, ri, beta, factors, cap, margin, audit_overflow=True)
 
 
 def _checkpoint_doc(
@@ -158,7 +134,9 @@ def enumerate_n4_discrete(
     ``stride > 1`` audits every stride-th matrix in lexicographic order.
     With ``checkpoint_path`` set, partial results are flushed at least every
     ``checkpoint_every`` ordinals; ``resume=True`` continues from such a file
-    provided its configuration matches.
+    provided its configuration matches. ``progress`` is called after every
+    chunk, in ordinal order. ``workers`` must be at least 1 and is capped at
+    the CPU count.
     """
     factors = tuple(float(f) for f in factors)
     if not factors:
@@ -184,33 +162,19 @@ def enumerate_n4_discrete(
 
     tasks = [(lo, min(lo + ENUM_CHUNK, TOTAL_MATRICES), stride, beta, factors, cap, margin)
              for lo in range(start, TOTAL_MATRICES, ENUM_CHUNK)]
-
-    def fold(completed_through: int, parts: dict[float, CrHistogram]) -> None:
+    since_checkpoint = 0
+    # strict: the fan-out runs to its end, which shuts its pool down here
+    for (lo, hi, *_), parts in zip(tasks, ordered_map(sweep_chunk, tasks, workers),
+                                   strict=True):
         for f in factors:
             hists[f].merge(parts[f])
         if progress is not None:
-            progress(completed_through, TOTAL_MATRICES)
-
-    since_checkpoint = 0
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (lo, hi, *_), parts in zip(tasks, pool.map(_sweep_task, tasks, chunksize=1)):
-                fold(hi, parts)
-                since_checkpoint += hi - lo
-                if checkpoint_path and since_checkpoint >= checkpoint_every:
-                    write_checkpoint(checkpoint_path, _checkpoint_doc(
-                        beta, factors, stride, cap, margin, hi, hists))
-                    since_checkpoint = 0
-    else:
-        for lo, hi, *rest in tasks:
-            fold(hi, _sweep_task((lo, hi, *rest)))
-            since_checkpoint += hi - lo
-            if checkpoint_path and since_checkpoint >= checkpoint_every:
-                write_checkpoint(checkpoint_path, _checkpoint_doc(
-                    beta, factors, stride, cap, margin, hi, hists))
-                since_checkpoint = 0
+            progress(hi, TOTAL_MATRICES)
+        since_checkpoint += hi - lo
+        if checkpoint_path and since_checkpoint >= checkpoint_every:
+            write_checkpoint(checkpoint_path, _checkpoint_doc(
+                beta, factors, stride, cap, margin, hi, hists))
+            since_checkpoint = 0
     if checkpoint_path:
         write_checkpoint(checkpoint_path, _checkpoint_doc(
             beta, factors, stride, cap, margin, TOTAL_MATRICES, hists))

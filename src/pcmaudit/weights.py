@@ -114,12 +114,26 @@ def row_geometric_mean(a: PairwiseComparisonMatrix) -> WeightVector:
     return WeightVector(g / g.sum())
 
 
+# Accepted spellings of each weighting method, mapped to its canonical name.
+METHOD_ALIASES = {
+    "eigenvector": "eigenvector",
+    "em": "eigenvector",
+    "row_geometric_mean": "row_geometric_mean",
+    "rgm": "row_geometric_mean",
+    "geometric": "row_geometric_mean",
+}
+
+
+def canonical_method(method: str) -> str:
+    """The canonical name of a weighting method, matched case-insensitively."""
+    try:
+        return METHOD_ALIASES[method.lower()]
+    except KeyError:
+        raise ValidationError(f"unknown weighting method {method!r}") from None
+
+
 def method_weights(a: PairwiseComparisonMatrix, method: str, **eigen_kwargs) -> WeightVector:
-    """Dispatch helper: ``method`` is ``"eigenvector"`` (alias ``"em"``) or
-    ``"row_geometric_mean"`` (alias ``"rgm"``)."""
-    key = method.lower()
-    if key in ("eigenvector", "em"):
+    """Dispatch helper: ``method`` is any spelling in :data:`METHOD_ALIASES`."""
+    if canonical_method(method) == "eigenvector":
         return eigenvector_method(a, **eigen_kwargs).weights
-    if key in ("row_geometric_mean", "rgm", "geometric"):
-        return row_geometric_mean(a)
-    raise ValidationError(f"unknown weighting method {method!r}")
+    return row_geometric_mean(a)

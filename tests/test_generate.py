@@ -1,5 +1,7 @@
 """Tests for random matrix generation and its substream determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,31 @@ def test_different_seeds_differ():
     a = generate_batch(GeneratorConfig(4, "discrete", 1), 0, 20)
     b = generate_batch(GeneratorConfig(4, "discrete", 2), 0, 20)
     assert not np.array_equal(a, b)
+
+
+def test_low_seed_streams_are_pinned():
+    # scale indices drawn for three seeds below 2**63 (chunk 2, offset 5)
+    expected = {
+        0: [[14, 6, 6, 11, 5, 6], [14, 4, 5, 5, 6, 13], [3, 15, 3, 15, 3, 8]],
+        12345: [[10, 9, 10, 12, 4, 9], [9, 13, 4, 8, 15, 2], [15, 13, 16, 15, 9, 3]],
+        2**63 - 1: [[2, 2, 11, 2, 2, 13], [15, 11, 8, 8, 15, 12], [12, 10, 11, 5, 16, 0]],
+    }
+    for seed, indices in expected.items():
+        upper = upper_batch(GeneratorConfig(4, "discrete", seed), 2 * SUBSTREAM_CHUNK + 5, 3)
+        assert np.searchsorted(SAATY_VALUES, upper).tolist() == indices
+    upper = upper_batch(GeneratorConfig(4, "continuous", 2**62 + 7), 0, 1)
+    assert upper[0].tolist() == [0.46558999925511596, 8.967356182657754, 8.354756089772387,
+                                 8.034616742945417, 0.23346611830692623, 0.1147584661293866]
+
+
+def test_high_seeds_get_their_own_streams():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = generate_batch(GeneratorConfig(4, "discrete", 2**63 + 1), 0, 20)
+        b = generate_batch(GeneratorConfig(4, "discrete", 2**63 + 1000), 0, 20)
+        c = generate_batch(GeneratorConfig(4, "discrete", 2**64 - 1), 0, 20)
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(b, c)
 
 
 def test_discrete_draws_are_roughly_uniform():

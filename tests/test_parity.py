@@ -1,0 +1,42 @@
+"""Parity gate: the CSV bytes of three batch runs are pinned.
+
+The digests were recorded before the batch paths moved onto one audit scan,
+one chunk pipeline and one fan-out helper. A later kernel or pipeline change
+must reproduce them byte for byte, with one worker and with two.
+"""
+
+import hashlib
+
+import pytest
+
+from pcmaudit.cli import main
+
+RUNS = {
+    "enumerate_fig5_stride1000": (
+        ["enumerate", "--preset", "fig5", "--stride", "1000"],
+        {"_1.001.csv": "5e3c87f4789fe93685c3ae92225444638c95e8f7c68d8581c1cabf1a85ecbcf8",
+         "_1.01.csv": "6843951360605143288f32bea05a67291ccaf266c30fda41f65d88b62b12e8dc",
+         "_1.1.csv": "308ec7265db610a05da4651b21a3099ea167e1926a6db632fe15c4d4ba467b4f"},
+    ),
+    "simulate_fig2_n9": (
+        ["simulate", "--preset", "fig2", "--n", "9", "--scale", "discrete",
+         "--seed", "3", "--iters", "20000"],
+        {".csv": "17d60d00bce2303c659cae5a517d0937b24039728010f13927b173edc7398a85"},
+    ),
+    "simulate_fig4_n6": (
+        ["simulate", "--preset", "fig4", "--n", "6", "--scale", "discrete",
+         "--seed", "3", "--iters", "20000"],
+        {".csv": "125933699c36dce9af4fced23225838c90962a9971bc1e5e471cfaa8c55f5605"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_csv_bytes_match_pinned_digests(name, tmp_path, capsys):
+    argv, digests = RUNS[name]
+    for workers in ("1", "2"):
+        prefix = tmp_path / f"w{workers}"
+        assert main(argv + ["--workers", workers, "--out", str(prefix)]) == 0
+        got = {suffix: hashlib.sha256((tmp_path / f"w{workers}{suffix}").read_bytes()).hexdigest()
+               for suffix in digests}
+        assert got == digests, f"--workers {workers}"
