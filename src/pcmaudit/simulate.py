@@ -238,8 +238,9 @@ def audit_population(
         bins, _ = gate.assign_bins(cr)
         audit &= bins < gate.cap_bins
     idx = np.flatnonzero(audit)
+    audited, w_audited = mats[idx], w0[idx]
     for factor, hist in hists.items():
-        flags, ok_audit, first = bulk.violation_flags(mats[idx], w0[idx], factor, margin)
+        flags, ok_audit, first = bulk.violation_flags(audited, w_audited, factor, margin)
         counted = ok.copy()
         counted[idx[~ok_audit]] = False
         violated = np.zeros(len(mats), dtype=bool)
@@ -248,7 +249,7 @@ def audit_population(
         hist.record_array(cr[counted], audit[counted], violated[counted])
         if flags.any():
             hit = idx[flags]
-            hist.offer_min_example(_min_example(mats[hit], cr[hit], first[flags]))
+            hist.offer_min_example(_min_example(audited[flags], cr[hit], first[flags]))
     return hists
 
 
@@ -273,11 +274,13 @@ def _min_example(mats: np.ndarray, cr: np.ndarray, first: np.ndarray) -> MinCrEx
     ``first`` holds each matrix's witnessing (i, j, k)."""
     n = mats.shape[1]
     iu, ju = np.triu_indices(n, 1)
-    upper = mats[:, iu, ju]
-    keys = tuple(upper[:, c] for c in range(upper.shape[1] - 1, -1, -1)) + (cr,)
-    best = int(np.lexsort(keys)[0])
+    tied = np.flatnonzero(cr == cr.min())
+    upper = mats[tied][:, iu, ju]
+    keys = tuple(upper[:, c] for c in range(upper.shape[1] - 1, -1, -1))
+    pick = int(np.lexsort(keys)[0])
+    best = tied[pick]
     i, j, k = (int(v) for v in first[best])
-    return MinCrExample(tuple(float(v) for v in upper[best]), float(cr[best]), i, j, k)
+    return MinCrExample(tuple(float(v) for v in upper[pick]), float(cr[best]), i, j, k)
 
 
 def run_simulation(

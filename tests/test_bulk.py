@@ -1,0 +1,121 @@
+"""The chord-step audit must flag exactly what per-pair squaring solves flag.
+
+``squaring_scan`` is the audit as it was before the chord kernel: every
+perturbed matrix is copied and re-solved from scratch by ``perron_batch``.
+It stays here as the reference that ``bulk.violation_flags`` is compared to.
+"""
+
+import numpy as np
+import pytest
+
+from pcmaudit import GeneratorConfig, bulk
+from pcmaudit.generate import generate_batch
+
+
+def squaring_scan(mats, w0, factor, margin, rtol=bulk.RESIDUAL_RTOL):
+    """Reference audit: one explicit copy and squaring solve per entry."""
+    b, n, _ = mats.shape
+    violated = np.zeros(b, dtype=bool)
+    ok = np.ones(b, dtype=bool)
+    first = np.zeros((b, 3), dtype=np.int64)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            active = np.flatnonzero(~violated & ok)
+            pert = mats[active].copy()
+            pert[:, i, j] *= factor
+            pert[:, j, i] /= factor
+            _, w1, _, ok1 = bulk.perron_batch(pert, rtol=rtol)
+            ok[active[~ok1]] = False
+            active, w1 = active[ok1], w1[ok1]
+            r0 = w0[active, i, None] / w0[active]
+            r1 = w1[:, i, None] / w1
+            worse = r1 < r0 * (1.0 - margin)
+            worse[:, i] = False
+            hit = np.any(worse, axis=1)
+            rows = active[hit]
+            violated[rows] = True
+            first[rows, :2] = i + 1, j + 1
+            first[rows, 2] = np.argmax(worse[hit], axis=1) + 1
+    return violated, ok, first
+
+
+def _population(n, scale, count=2048):
+    mats = generate_batch(GeneratorConfig(n, scale, 100 + n), 0, count)
+    _, w0, _, ok = bulk.perron_batch(mats)
+    assert ok.all()
+    return mats, w0
+
+
+def _assert_same(got, want):
+    for name, g, w in zip(("violated", "ok", "first"), got, want):
+        np.testing.assert_array_equal(g, w, err_msg=name)
+
+
+@pytest.mark.parametrize("factor", [1.001, 1.01, 1.1])
+@pytest.mark.parametrize("scale", ["discrete", "continuous"])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_chord_flags_match_squaring(n, scale, factor):
+    mats, w0 = _population(n, scale)
+    _assert_same(bulk.violation_flags(mats, w0, factor, 1e-9),
+                 squaring_scan(mats, w0, factor, 1e-9))
+
+
+# the dip at entry (1, 3) is narrow: a 10% step jumps over it
+@pytest.mark.parametrize("factor, flagged", [(1.001, True), (1.01, True), (1.1, False)])
+@pytest.mark.parametrize("min_rows", [1, bulk.CHORD_MIN_ROWS])
+def test_chord_flags_match_squaring_on_counterexample(
+        monkeypatch, kinked_matrix, min_rows, factor, flagged):
+    monkeypatch.setattr(bulk, "CHORD_MIN_ROWS", min_rows)
+    mats = kinked_matrix.entries[None]
+    _, w0, _, _ = bulk.perron_batch(mats)
+    got = bulk.violation_flags(mats, w0, factor, 1e-9)
+    _assert_same(got, squaring_scan(mats, w0, factor, 1e-9))
+    assert got[0][0] == flagged
+
+
+def test_audit_blocks_do_not_change_flags(monkeypatch):
+    # blocks of 300, 300, 300 and 100 matrices; the last one is below
+    # CHORD_MIN_ROWS and is audited by squaring alone
+    mats, w0 = _population(6, "discrete", 1000)
+    want = bulk.violation_flags(mats, w0, 1.01, 1e-9)
+    monkeypatch.setattr(bulk, "AUDIT_BLOCK", 300)
+    _assert_same(bulk.violation_flags(mats, w0, 1.01, 1e-9), want)
+
+
+def test_n9_audit_at_factor_101_needs_no_fallback(monkeypatch):
+    mats, w0 = _population(9, "discrete")
+    fallback_rows = []
+
+    def counting(pert, **kwargs):
+        fallback_rows.append(len(pert))
+        return perron_batch(pert, **kwargs)
+
+    perron_batch = bulk.perron_batch
+    monkeypatch.setattr(bulk, "perron_batch", counting)
+    bulk.violation_flags(mats, w0, 1.01, 1e-9)
+    assert fallback_rows == []
+
+
+@pytest.mark.parametrize("n, factor", [(4, 1.1), (9, 1.01)])
+def test_squaring_fallback_alone_gives_the_same_flags(monkeypatch, n, factor):
+    mats, w0 = _population(n, "discrete", 512)
+    want = squaring_scan(mats, w0, factor, 1e-9)
+    monkeypatch.setattr(bulk, "CHORD_STEPS", 0)
+    _assert_same(bulk.violation_flags(mats, w0, factor, 1e-9), want)
+
+
+def test_unreachable_tolerance_fails_every_row():
+    # a chord iterate can reach a residual of exactly 0.0 in floating point,
+    # so only a negative tolerance is out of reach for every row
+    mats, w0 = _population(5, "discrete", 256)
+    violated, ok, first = bulk.violation_flags(mats, w0, 1.01, 1e-9, rtol=-1.0)
+    assert not ok.any()
+    assert not violated.any()
+    assert not first.any()
+    _assert_same((violated, ok, first), squaring_scan(mats, w0, 1.01, 1e-9, rtol=-1.0))
+
+
+def test_empty_batch():
+    violated, ok, first = bulk.violation_flags(np.ones((0, 4, 4)), np.ones((0, 4)), 1.01, 1e-9)
+    assert violated.shape == ok.shape == (0,)
+    assert first.shape == (0, 3)

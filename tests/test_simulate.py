@@ -12,7 +12,8 @@ from pcmaudit import (
     generate,
     run_simulation,
 )
-from pcmaudit.simulate import MinCrExample, histogram_csv_lines
+from pcmaudit.generate import matrices_from_upper
+from pcmaudit.simulate import MinCrExample, _min_example, histogram_csv_lines
 
 
 def test_bin_assignment_and_tie_rule():
@@ -85,6 +86,14 @@ def test_min_example_tie_breaks_lexicographically():
     hist.offer_min_example(MinCrExample((3.0, 1.0), 0.5, 1, 2, 3))
     hist.offer_min_example(MinCrExample((2.0, 9.0), 0.5, 1, 2, 3))
     assert hist.min_cr_example.upper_entries == (2.0, 9.0)
+
+    # within a batch: the last two rows share the minimum CR and differ only
+    # in their last upper entry; the first row sorts lowest but has a higher CR
+    mats = matrices_from_upper(3, np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 5.0],
+                                            [2.0, 1.0, 4.0]]))
+    first = np.array([[1, 2, 3], [1, 3, 2], [2, 3, 1]])
+    example = _min_example(mats, np.array([0.7, 0.5, 0.5]), first)
+    assert example == MinCrExample((2.0, 1.0, 4.0), 0.5, 2, 3, 1)
 
 
 def test_histogram_json_round_trip():
