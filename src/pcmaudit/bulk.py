@@ -2,17 +2,25 @@
 
 Base solves. :func:`perron_batch` raises each matrix to the power 2**k by
 repeated squaring and reads the dominant eigenvector off the row sums.
-Squaring doubles the power iteration exponent per step, so a fixed,
-data-independent number of steps reaches the noise floor for every judgment
-matrix on the bounded scales used here (entries within [1/10, 10] give a
-Birkhoff contraction coefficient of at most ~0.981 per application, hence
-< 1e-15 residual error after 2**13 applications). Every solve is verified
+Each squaring doubles the exponent, so a fixed, data-independent number of
+steps reaches the noise floor for every judgment matrix on the bounded
+scales used here (entries within [1/10, 10] give a Birkhoff contraction
+coefficient of at most ~0.981 per application, hence < 1e-15 residual error
+after 2**13 applications). Every solve is verified
 against a residual bound; rows that miss it are retried with a larger
 exponent and reported as failures only if they still miss. Measured on
 65,536 matrices per case, every solve passed that bound after 8 squarings at
 n = 4 and after 7 at n = 6 and 9, on both scales. The procedure is
 branch-free per batch and deterministic for a fixed chunking, which keeps
 simulation results independent of worker count.
+
+Matrices read from files have no bounded scale, and
+:func:`pcmaudit.weights.eigenvector_method` solves them here as batches of
+one. They take the same retry loop and the same relative residual test, so a
+matrix of any spread either passes it or is reported as unconverged. The test
+scales with lam, so a large Perron root does not make a solve fail: entries
+spread over [1e-6, 1e6] converge. Entries so large that the squaring
+overflows (1e300, say) leave non-finite weights and fail the test.
 
 Perturbed solves. :func:`violation_flags` re-solves each matrix once per
 upper entry it perturbs, with the chord method: Newton's method with the
@@ -41,9 +49,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .weights import canonical_method
+from .errors import ValidationError
 
-# 2**13 = 8192 effective power iterations; see module docstring.
+# A**(2**13): 8192 applications of each matrix; see module docstring.
 BASE_SQUARINGS = 13
 MAX_SQUARINGS = 24
 # Relative residual accepted as converged: max|Aw - lam*w| <= tol * lam.
@@ -56,6 +64,24 @@ AUDIT_BLOCK = 4096
 # (n = 4) to 150 (n = 6) matrices, the chord steps' fixed cost per call
 # exceeds that of the squaring solves they replace.
 CHORD_MIN_ROWS = 128
+
+
+# Accepted spellings of each weighting method, mapped to its canonical name.
+METHOD_ALIASES = {
+    "eigenvector": "eigenvector",
+    "em": "eigenvector",
+    "row_geometric_mean": "row_geometric_mean",
+    "rgm": "row_geometric_mean",
+    "geometric": "row_geometric_mean",
+}
+
+
+def canonical_method(method: str) -> str:
+    """The canonical name of a weighting method, matched case-insensitively."""
+    try:
+        return METHOD_ALIASES[method.lower()]
+    except KeyError:
+        raise ValidationError(f"unknown weighting method {method!r}") from None
 
 
 def _power_weights(mats: np.ndarray, squarings: int) -> np.ndarray:

@@ -22,6 +22,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -34,11 +35,11 @@ from .consistency import (
 )
 from .errors import ConfigurationError, ConvergenceError, ValidationError
 from .generate import GeneratorConfig, generate
-from .matrix import read_matrix_file
+from .matrix import _write_atomic, read_matrix_file
 from .monotonic import VIOLATION_MARGIN, check_monotonicity, min_violation_factor_scan
 from .simulate import CrHistogram, histogram_csv_lines, run_simulation
 from .sweep import DEFAULT_CR_OVERFLOW, enumerate_n4_discrete
-from .weights import EIGEN_TOL, MAX_ITERATIONS, eigenvector_method, row_geometric_mean
+from .weights import eigenvector_method, row_geometric_mean
 
 WORKERS_HELP = "worker processes (at least 1, capped at the CPU count)"
 JSON_SCHEMA = "pcmaudit.run/v1"
@@ -99,21 +100,16 @@ class RunManifest:
         }
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
 
 def write_histogram_csv(path, hist: CrHistogram, run_id: str) -> None:
     lines = [f"# run_id={run_id}"] + histogram_csv_lines(hist)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_atomic(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _format_weights(values) -> str:
@@ -122,7 +118,7 @@ def _format_weights(values) -> str:
 
 def cmd_analyze(args) -> int:
     matrix = read_matrix_file(args.path)
-    eigen = eigenvector_method(matrix, tol=args.eigen_tol, max_iter=args.max_iter)
+    eigen = eigenvector_method(matrix)
     rgm = row_geometric_mean(matrix)
     table = default_random_index_table(args.scale)
     print(f"n: {matrix.n}")
@@ -131,7 +127,7 @@ def cmd_analyze(args) -> int:
     print(f"RGM weights: {_format_weights(rgm.values)}")
     report_doc = None
     try:
-        report = consistency_ratio(matrix, table, tol=args.eigen_tol, max_iter=args.max_iter)
+        report = consistency_ratio(matrix, table)
     except ConfigurationError as exc:
         print(f"CI: {(eigen.lambda_max - matrix.n) / (matrix.n - 1):.6f}")
         print(f"CR: n/a ({exc})")
@@ -143,8 +139,7 @@ def cmd_analyze(args) -> int:
               f"{'yes' if report.acceptable else 'no'}")
         report_doc = vars(report)
     if args.json:
-        config = {"path": str(args.path), "scale": args.scale,
-                  "eigen_tol": args.eigen_tol, "max_iter": args.max_iter}
+        config = {"path": str(args.path), "scale": args.scale}
         doc = {
             "schema": JSON_SCHEMA,
             "run_id": run_id_for("analyze", config),
@@ -165,9 +160,8 @@ def cmd_analyze(args) -> int:
 def cmd_audit(args) -> int:
     matrix = read_matrix_file(args.path)
     factors = args.factors if args.factors else [args.factor]
-    reports = min_violation_factor_scan(
-        matrix, factors, method=args.method, margin=args.margin,
-        tol=args.eigen_tol, max_iter=args.max_iter)
+    reports = min_violation_factor_scan(matrix, factors, method=args.method,
+                                        margin=args.margin)
     for factor in factors:
         report = reports[float(factor)]
         if report.violations:
@@ -181,8 +175,7 @@ def cmd_audit(args) -> int:
             print(f"factor {factor:g}: WEAK VIOLATION: entry ({i},{j})")
     if args.json:
         config = {"path": str(args.path), "method": args.method,
-                  "factors": [float(f) for f in factors], "margin": args.margin,
-                  "eigen_tol": args.eigen_tol, "max_iter": args.max_iter}
+                  "factors": [float(f) for f in factors], "margin": args.margin}
         doc = {
             "schema": JSON_SCHEMA,
             "run_id": run_id_for("audit", config),
@@ -200,17 +193,13 @@ def cmd_gen(args) -> int:
         for ordinal in range(args.count):
             sys.stdout.write(generate(config, ordinal).to_text())
         return 0
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     manifest = RunManifest("gen", {"n": args.n, "scale": args.scale,
                                    "seed": args.seed, "count": args.count})
     for ordinal in range(args.count):
         name = f"matrix_{ordinal:06d}.txt"
         text = f"# run_id={manifest.run_id}\n" + generate(config, ordinal).to_text()
-        with open(os.path.join(args.out, name), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(text)
+        _write_atomic(os.path.join(args.out, name), text)
         manifest.outputs.append(name)
     manifest.finish()
     manifest.write(os.path.join(args.out, "manifest.json"))
@@ -319,13 +308,6 @@ def cmd_ri(args) -> int:
     return 0
 
 
-def _add_eigen_flags(sub) -> None:
-    sub.add_argument("--eigen-tol", type=float, default=EIGEN_TOL,
-                     help="eigen convergence tolerance")
-    sub.add_argument("--max-iter", type=int, default=MAX_ITERATIONS,
-                     help="power iteration budget")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcmaudit",
@@ -339,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=("discrete", "continuous"), default="discrete",
                    help="random index table to score CR against")
     p.add_argument("--json", help="also write a JSON report to this path")
-    _add_eigen_flags(p)
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("audit", help="monotonicity audit of a matrix file")
@@ -350,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated factors, e.g. 1.001,1.01,1.1")
     p.add_argument("--margin", type=float, default=VIOLATION_MARGIN)
     p.add_argument("--json", help="also write a JSON report to this path")
-    _add_eigen_flags(p)
     p.set_defaults(func=cmd_audit)
 
     p = subs.add_parser("gen", help="write random matrix files")

@@ -109,18 +109,17 @@ def _clamp_ci(ci: float) -> float:
     return ci
 
 
-def consistency_index(a: PairwiseComparisonMatrix, **eigen_kwargs) -> float:
+def consistency_index(a: PairwiseComparisonMatrix) -> float:
     """CI of a matrix; exact zeros for n = 2, noise near zero clamped to zero."""
     if a.n == 2:
         return 0.0
-    lam = eigenvector_method(a, **eigen_kwargs).lambda_max
+    lam = eigenvector_method(a).lambda_max
     return _clamp_ci((lam - a.n) / (a.n - 1))
 
 
 def consistency_ratio(
     a: PairwiseComparisonMatrix,
     table: RandomIndexTable | None = None,
-    **eigen_kwargs,
 ) -> InconsistencyReport:
     """Full CI/CR report against a random index table (discrete table by default)."""
     if table is None:
@@ -129,7 +128,7 @@ def consistency_ratio(
     if a.n == 2:
         lam, ci = 2.0, 0.0
     else:
-        lam = eigenvector_method(a, **eigen_kwargs).lambda_max
+        lam = eigenvector_method(a).lambda_max
         ci = _clamp_ci((lam - a.n) / (a.n - 1))
     cr = ci / ri
     return InconsistencyReport(a.n, lam, ci, ri, cr, cr <= ACCEPTABILITY_THRESHOLD)

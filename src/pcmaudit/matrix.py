@@ -12,6 +12,7 @@ for judgment matrices; the underlying numpy array is 0-based as always.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -269,5 +270,21 @@ def read_matrix_file(path) -> PairwiseComparisonMatrix:
 
 def write_matrix_file(path, a: PairwiseComparisonMatrix) -> None:
     """Write a matrix in the text format (LF line endings)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(a.to_text())
+    _write_atomic(path, a.to_text())
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with LF newlines, all or nothing.
+
+    The text goes to ``path + ".tmp"``, which then replaces ``path``; on any
+    failure the temporary file is removed and ``path`` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

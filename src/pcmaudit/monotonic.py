@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .bulk import RESIDUAL_RTOL, canonical_method
 from .errors import ConvergenceError, ValidationError
 from .matrix import PairwiseComparisonMatrix, PerturbationSpec, perturb
-from .weights import EIGEN_TOL, canonical_method, method_weights
+from .weights import method_weights
 
 # A ratio must drop by more than this (relative) to count as a violation.
 # Far below the effect sizes this audit exists to find, far above eigen noise.
@@ -78,22 +79,22 @@ def check_monotonicity(
     method: str = "eigenvector",
     factor: float = 1.01,
     margin: float = VIOLATION_MARGIN,
-    **eigen_kwargs,
 ) -> MonotonicityReport:
     """Audit one matrix: perturb each upper entry upward and compare ratios.
 
     For every (i, j) with i < j, the perturbed matrix gets its weights
     recomputed and each ratio w_i / w_k (k != i) is compared against the
     unperturbed value; a drop of more than ``margin`` relative is recorded.
-    Records come out sorted by (i, j, k). Eigen keyword arguments (``tol``,
-    ``max_iter``) are forwarded to the eigenvector solve.
+    Records come out sorted by (i, j, k). The report's ``eigen_tol`` is the
+    relative residual bound every eigen solve met, ``bulk.RESIDUAL_RTOL``
+    (0 for the geometric mean).
     """
     if factor <= 1.0:
         raise ValidationError(f"audit factor must exceed 1, got {factor}")
     if margin < 0:
         raise ValidationError(f"margin must be nonnegative, got {margin}")
     method = canonical_method(method)
-    w0 = method_weights(a, method, **eigen_kwargs)
+    w0 = method_weights(a, method)
     violations: list[ViolationRecord] = []
     weak: list[tuple[int, int]] = []
     n = a.n
@@ -101,7 +102,7 @@ def check_monotonicity(
         for j in range(i + 1, n + 1):
             perturbed = perturb(a, PerturbationSpec(i=i, j=j, factor=factor))
             try:
-                w1 = method_weights(perturbed, method, **eigen_kwargs)
+                w1 = method_weights(perturbed, method)
             except ConvergenceError as exc:
                 raise ConvergenceError(
                     f"eigen solve did not converge for perturbed entry ({i},{j})",
@@ -116,13 +117,12 @@ def check_monotonicity(
                 after = w1.ratio(i, k)
                 if after < before * (1.0 - margin):
                     violations.append(ViolationRecord(i, j, k, before, after, factor))
-    eigen_tol = eigen_kwargs.get("tol", EIGEN_TOL) if method == "eigenvector" else 0.0
     return MonotonicityReport(
         matrix_hash=a.content_digest(),
         method=method,
         factor=factor,
         margin=margin,
-        eigen_tol=eigen_tol,
+        eigen_tol=RESIDUAL_RTOL if method == "eigenvector" else 0.0,
         violations=tuple(violations),
         weak_violations=tuple(weak),
     )
@@ -133,7 +133,6 @@ def min_violation_factor_scan(
     factors,
     method: str = "eigenvector",
     margin: float = VIOLATION_MARGIN,
-    **eigen_kwargs,
 ) -> dict[float, MonotonicityReport]:
     """Run the audit at several factors; maps each factor to its report.
 
@@ -145,7 +144,6 @@ def min_violation_factor_scan(
         raise ValidationError("need at least one factor")
     reports = {}
     for f in factors:
-        reports[f] = check_monotonicity(a, method=method, factor=f, margin=margin,
-                                        **eigen_kwargs)
+        reports[f] = check_monotonicity(a, method=method, factor=f, margin=margin)
     return reports
 

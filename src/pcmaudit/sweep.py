@@ -16,7 +16,6 @@ not depend on worker count.
 from __future__ import annotations
 
 import json
-import os
 from typing import Callable
 
 import numpy as np
@@ -25,6 +24,7 @@ from .consistency import default_random_index_table
 from .errors import ConfigurationError, ValidationError
 from .fanout import ordered_map
 from .generate import SAATY_VALUES, matrices_from_upper
+from .matrix import _write_atomic
 from .monotonic import VIOLATION_MARGIN
 from .simulate import CrHistogram, audit_population
 
@@ -103,10 +103,7 @@ def _checkpoint_doc(
 
 
 def write_checkpoint(path, doc: dict) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    os.replace(tmp, path)
+    _write_atomic(path, json.dumps(doc))
 
 
 def load_checkpoint(path) -> dict:

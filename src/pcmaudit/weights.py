@@ -10,13 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bulk
+from .bulk import canonical_method
 from .errors import ConvergenceError, ValidationError
 from .matrix import PairwiseComparisonMatrix
-
-# Power iteration stops once the weight vector's max relative change between
-# iterations falls below this and the eigen residual is at least as small.
-EIGEN_TOL = 1e-13
-MAX_ITERATIONS = 100_000
 
 WEIGHT_SUM_ATOL = 1e-12
 
@@ -53,7 +50,14 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Converged principal eigenpair of a judgment matrix."""
+    """Converged principal eigenpair of a judgment matrix.
+
+    ``residual`` is ``max |A w - lambda_max w|``; it is at most
+    ``bulk.RESIDUAL_RTOL * lambda_max``. ``iterations`` counts the
+    applications of the matrix that the squarings stand for: k squarings
+    raise it to the power 2**k, so a solve reports 2**BASE_SQUARINGS. A solve
+    that passed only on a retry ran more squarings than that.
+    """
 
     lambda_max: float
     weights: WeightVector
@@ -61,48 +65,25 @@ class EigenResult:
     residual: float
 
 
-def eigenvector_method(
-    a: PairwiseComparisonMatrix,
-    tol: float = EIGEN_TOL,
-    max_iter: int = MAX_ITERATIONS,
-) -> EigenResult:
-    """Principal right eigenvector by power iteration, normalized to sum 1.
+def eigenvector_method(a: PairwiseComparisonMatrix) -> EigenResult:
+    """Principal right eigenvector, normalized to sum 1.
 
-    A positive matrix has a unique positive dominant eigenvector, so the
-    iteration converges from the uniform start. The eigenvalue estimate is the
-    mean of the componentwise Rayleigh ratios at the converged iterate, and the
-    reported residual is ``max |A w - lambda w|``. Raises
-    :class:`ConvergenceError` instead of returning an unconverged vector.
+    A one-matrix call to :func:`bulk.perron_batch`, so it takes the same
+    squarings, retries and relative residual test as every batch solve. The
+    eigenvalue is the mean of the componentwise Rayleigh ratios. Raises
+    :class:`ConvergenceError`, with the last iterate, its residual and
+    2**MAX_SQUARINGS iterations, instead of returning an unconverged vector.
     """
-    if tol <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
-    m = a.entries
-    n = a.n
-    w = np.full(n, 1.0 / n)
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        y = m @ w
-        y /= y.sum()
-        iterations += 1
-        delta = float(np.max(np.abs(y - w) / y))
-        w = y
-        if delta < tol:
-            # the iterate has stabilized; accept only once the residual agrees
-            aw = m @ w
-            lam = float(np.mean(aw / w))
-            residual = float(np.max(np.abs(aw - lam * w)))
-            if residual <= tol:
-                converged = True
-                break
-    if not converged:
-        aw = m @ w
-        lam = float(np.mean(aw / w))
-        residual = float(np.max(np.abs(aw - lam * w)))
-        raise ConvergenceError("power iteration did not converge", w, residual, iterations)
-    return EigenResult(lam, WeightVector(w), iterations, residual)
+    # entries far off any judgment scale can overflow the squarings or
+    # underflow a weight; the values that follow fail the residual test and
+    # raise below, so numpy need not warn about them
+    with np.errstate(all="ignore"):
+        lam, w, residual, ok = bulk.perron_batch(a.entries[None])
+    if not ok[0]:
+        raise ConvergenceError("eigen solve did not converge", w[0], float(residual[0]),
+                               2**bulk.MAX_SQUARINGS)
+    return EigenResult(float(lam[0]), WeightVector(w[0]), 2**bulk.BASE_SQUARINGS,
+                       float(residual[0]))
 
 
 def row_geometric_mean(a: PairwiseComparisonMatrix) -> WeightVector:
@@ -114,26 +95,8 @@ def row_geometric_mean(a: PairwiseComparisonMatrix) -> WeightVector:
     return WeightVector(g / g.sum())
 
 
-# Accepted spellings of each weighting method, mapped to its canonical name.
-METHOD_ALIASES = {
-    "eigenvector": "eigenvector",
-    "em": "eigenvector",
-    "row_geometric_mean": "row_geometric_mean",
-    "rgm": "row_geometric_mean",
-    "geometric": "row_geometric_mean",
-}
-
-
-def canonical_method(method: str) -> str:
-    """The canonical name of a weighting method, matched case-insensitively."""
-    try:
-        return METHOD_ALIASES[method.lower()]
-    except KeyError:
-        raise ValidationError(f"unknown weighting method {method!r}") from None
-
-
-def method_weights(a: PairwiseComparisonMatrix, method: str, **eigen_kwargs) -> WeightVector:
-    """Dispatch helper: ``method`` is any spelling in :data:`METHOD_ALIASES`."""
+def method_weights(a: PairwiseComparisonMatrix, method: str) -> WeightVector:
+    """Dispatch helper: ``method`` is any spelling in :data:`bulk.METHOD_ALIASES`."""
     if canonical_method(method) == "eigenvector":
-        return eigenvector_method(a, **eigen_kwargs).weights
+        return eigenvector_method(a).weights
     return row_geometric_mean(a)

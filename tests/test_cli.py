@@ -10,6 +10,10 @@ from pcmaudit.matrix import read_matrix_file
 KINKED_TEXT = "4\n1 8 1 5\n1/8 1 3 7\n1 1/3 1 9\n1/5 1/7 1/9 1\n"
 CONSISTENT_TEXT = "3\n1 2 4\n1/2 1 2\n1/4 1/2 1\n"
 BROKEN_TEXT = "2\n1 2\n0.6 1\n"
+# the counterexample with a12 = 1e30, which no eigen solve converges on
+STALLED_TEXT = "4\n1 1e30 1 5\n1e-30 1 3 7\n1 1/3 1 9\n1/5 1/7 1/9 1\n"
+# spread 1e12, Perron root about 5849.25
+WIDE_SPREAD_TEXT = "4\n1 1e6 1 5\n1e-6 1 3 1e6\n1 1/3 1 9\n1/5 1e-6 1/9 1\n"
 
 
 @pytest.fixture
@@ -57,8 +61,18 @@ def test_analyze_missing_file_is_io_error(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.txt")]) == 4
 
 
-def test_analyze_nonconvergence_exit_code(kinked_file, capsys):
-    assert main(["analyze", kinked_file, "--max-iter", "2"]) == 3
+def test_analyze_nonconvergence_exit_code(tmp_path, capsys):
+    path = tmp_path / "stalled.txt"
+    path.write_text(STALLED_TEXT)
+    assert main(["analyze", str(path)]) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
+def test_analyze_wide_spread_converges(tmp_path, capsys):
+    path = tmp_path / "wide.txt"
+    path.write_text(WIDE_SPREAD_TEXT)
+    assert main(["analyze", str(path)]) == 0
+    assert "lambda_max: 5849.2505991" in capsys.readouterr().out
 
 
 def test_analyze_json_report(kinked_file, tmp_path):
@@ -132,6 +146,15 @@ def test_simulate_writes_stable_csv(tmp_path, capsys):
     doc = json.loads((tmp_path / "a.json").read_text())
     assert doc["run_id"] == manifest["run_id"]
     assert sum(b["total"] for b in doc["histogram"]["bins"]) == 30000
+
+
+def test_failed_output_write_keeps_old_file(tmp_path, disk_full):
+    (tmp_path / "run.csv").write_text("old\n")
+    assert main(["simulate", "--n", "4", "--scale", "discrete", "--seed", "5",
+                 "--iters", "100", "--preset", "fig2",
+                 "--out", str(tmp_path / "run")]) == 4
+    assert (tmp_path / "run.csv").read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
 
 
 def test_simulate_preset_fig4(tmp_path):

@@ -175,3 +175,10 @@ def test_text_round_trip(tmp_path, kinked_matrix, rng):
         write_matrix_file(path, m)
         again = read_matrix_file(path)
         assert np.array_equal(again.entries, m.entries)
+
+
+def test_failed_write_leaves_no_partial_file(tmp_path, kinked_matrix, disk_full):
+    path = tmp_path / "m.txt"
+    with pytest.raises(OSError):
+        write_matrix_file(path, kinked_matrix)
+    assert list(tmp_path.iterdir()) == []

@@ -10,8 +10,10 @@ from pcmaudit import (
     ValidationError,
     WeightVector,
     build_matrix,
+    bulk,
     consistent_from_weights,
     eigenvector_method,
+    from_array,
     is_consistent,
     row_geometric_mean,
 )
@@ -19,8 +21,19 @@ from pcmaudit import (
 from conftest import (
     KINKED_RATIO_BASE,
     KINKED_RATIO_FACTOR_101,
+    KINKED_UPPER,
+    STALLED_UPPER,
     random_upper,
 )
+
+# Spread 1e12 and a Perron root near 5849: an absolute residual test of 1e-13
+# cannot be met in floating point here, the relative one can.
+WIDE_SPREAD = [
+    [1, 1e6, 1, 5],
+    [1e-6, 1, 3, 1e6],
+    [1, 1 / 3, 1, 9],
+    [1 / 5, 1e-6, 1 / 9, 1],
+]
 
 
 def test_2x2_closed_form():
@@ -38,28 +51,63 @@ def test_kinked_ratio_reference_values(kinked_matrix, kinked_matrix_at):
 
 
 def test_eigen_result_contract(kinked_matrix):
-    result = eigenvector_method(kinked_matrix, tol=1e-13)
+    result = eigenvector_method(kinked_matrix)
     assert result.lambda_max >= kinked_matrix.n
-    assert result.residual <= 1e-13
-    assert result.iterations >= 1
+    assert result.residual <= bulk.RESIDUAL_RTOL * result.lambda_max
+    assert result.iterations == 2**bulk.BASE_SQUARINGS
     assert np.all(result.weights.values > 0)
     assert result.weights.values.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_nonconvergence_raises_with_iterate(kinked_matrix):
+@pytest.mark.filterwarnings("error")
+def test_nonconvergence_raises_with_iterate():
     with pytest.raises(ConvergenceError) as info:
-        eigenvector_method(kinked_matrix, max_iter=2)
+        eigenvector_method(build_matrix(4, STALLED_UPPER))
     err = info.value
-    assert err.iterations == 2
-    assert err.residual > 0
+    assert err.iterations == 2**bulk.MAX_SQUARINGS
+    assert np.isfinite(err.residual) and err.residual > 0
     assert err.last_weights.shape == (4,)
 
 
-def test_rejects_bad_eigen_parameters(kinked_matrix):
-    with pytest.raises(ValidationError):
-        eigenvector_method(kinked_matrix, tol=0.0)
-    with pytest.raises(ValidationError):
-        eigenvector_method(kinked_matrix, max_iter=0)
+def test_wide_spread_matches_extended_precision_perron_vector():
+    # independent oracle: the dominant eigenpair computed at 50 digits
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    m = from_array(np.array(WIDE_SPREAD))
+    values, vectors = mp.eig(mp.matrix(m.entries.tolist()))
+    top = max(range(4), key=lambda t: mp.re(values[t]))
+    v = [mp.re(vectors[p, top]) for p in range(4)]
+    expected = [float(x / mp.fsum(v)) for x in v]
+    result = eigenvector_method(m)
+    assert result.lambda_max == pytest.approx(float(mp.re(values[top])), rel=1e-12)
+    assert result.weights.values == pytest.approx(expected, rel=1e-12)
+
+
+def test_log_uniform_wide_spreads_converge():
+    rng = np.random.default_rng(90210)
+    for n in (4, 6, 9):
+        for _ in range(20):
+            m = build_matrix(n, random_upper(rng, n, low=1e-6, high=1e6))
+            result = eigenvector_method(m)
+            assert result.residual <= bulk.RESIDUAL_RTOL * result.lambda_max
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_entries_raise_without_warning():
+    # squaring a 1e300 entry overflows; that is a failed solve, not a warning
+    with pytest.raises(ConvergenceError):
+        eigenvector_method(build_matrix(4, (1e300,) + KINKED_UPPER[1:]))
+    rng = np.random.default_rng(4711)
+    for exponent in (150, 200, 300):
+        for n in (3, 4, 9):
+            for _ in range(10):
+                upper = random_upper(rng, n, low=10.0**-exponent, high=10.0**exponent)
+                upper[rng.integers(upper.size)] = 10.0**exponent
+                try:
+                    result = eigenvector_method(build_matrix(n, upper))
+                except ConvergenceError:
+                    continue
+                assert result.residual <= bulk.RESIDUAL_RTOL * result.lambda_max
 
 
 def test_rgm_recovers_weights_of_consistent_matrix(rng):
