@@ -23,29 +23,57 @@ spread over [1e-6, 1e6] converge. Entries so large that the squaring
 overflows (1e300, say) leave non-finite weights and fail the test.
 
 Perturbed solves. :func:`violation_flags` re-solves each matrix once per
-upper entry it perturbs, with the chord method: Newton's method with the
-Jacobian frozen at the base solution (C. T. Kelley, *Iterative Methods for
-Linear and Nonlinear Equations*, SIAM 1995). The Jacobian is that of the
-bordered eigen-system (A'w - lam w, 1^T w - 1) at the base pair (w0, lam0),
-[[A - lam0 I, -w0], [1^T, 0]] (C. D. Meyer and G. W. Stewart, SIAM J.
-Numer. Anal. 25(3), 1988). It is nonsingular because the Perron root is
-simple, and one batched inverse per matrix serves all n(n-1)/2
-perturbations. Each step re-estimates lam as the mean ratio (A'w)_p / w_p
-and keeps 1^T w fixed, so only the w-block of the inverse is kept. A
-perturbation changes only a_ij and a_ji, so A'w is A w plus two scalar
-corrections and no perturbed matrix is built. An iterate is accepted under
-the residual bound of a base solve, and only while it is positive, as no
-other eigenvector of a positive matrix is. The steps contract by a factor of
-the order of the perturbation, so their number grows with the factor. Over
-the audit scans of 32,768 sweep matrices (n = 4) and of 16,384 matrices per
-scale at n = 6 and 9, rows were accepted after 2-3 steps at factor 1.001,
-3-5 at 1.01 and 4-9 at 1.1, with n = 4 needing the most. Rows not accepted
-within ``CHORD_STEPS`` steps fall back to squaring on an explicit perturbed
-copy. Blocks of fewer than ``CHORD_MIN_ROWS`` matrices skip the chord steps
-and are audited by squaring alone.
+upper entry it perturbs and per audit factor, with the chord method:
+Newton's method with the Jacobian frozen at the base solution (C. T. Kelley,
+*Iterative Methods for Linear and Nonlinear Equations*, SIAM 1995). The
+Jacobian is that of the bordered eigen-system (A'w - lam w, 1^T w - 1) at the
+base pair (w0, lam0), [[A - lam0 I, -w0], [1^T, 0]] (C. D. Meyer and G. W.
+Stewart, SIAM J. Numer. Anal. 25(3), 1988). It is nonsingular because the
+Perron root is simple, and one batched inverse per matrix serves all
+n(n-1)/2 perturbations at every factor. Each step re-estimates lam as the
+mean ratio (A'w)_p / w_p and keeps 1^T w fixed, so only the w-block of the
+inverse is kept. A perturbation changes only a_ij and a_ji, so A'w is A w
+plus two scalar corrections and no perturbed matrix is built. An iterate is
+accepted under the residual bound of a base solve, and only while it is
+positive, as no other eigenvector of a positive matrix is. The steps
+contract by a factor of the order of the perturbation, so their number grows
+with the factor. Over the audit scans of 32,768 sweep matrices (n = 4) and of
+16,384 matrices per scale at n = 6 and 9, rows were accepted after 2-3 steps
+at factor 1.001, 3-5 at 1.01 and 4-9 at 1.1, with n = 4 needing the most.
+Rows not accepted within ``CHORD_STEPS`` steps fall back to squaring on an
+explicit perturbed copy.
+
+All factors share one scan. Within a block of B matrices the scan runs over
+F*B (matrix, factor) columns, column c being matrix c % B at factor
+``factors[c // B]``: the inverse is computed once per matrix and tiled to
+its F columns, and the entry corrections, and the squaring fallback, take
+each column's own factor. The per-column arithmetic is that of a scan at one
+factor, so the flags do not depend on which factors share a call. A column
+flagged at one factor leaves the scan while the same matrix is still scanned
+at the others. The batches are small (a stride-300 sweep chunk holds about
+440 matrices), so the time goes into numpy calls rather than arithmetic;
+hence a column accepted by a chord step is not cut out of the working set at
+once. Its first accepted iterate is recorded and it keeps stepping, unread,
+until at least half of the working set is accepted; only then is the set
+compacted. That trades a little arithmetic for far fewer compactions. On a
+2-vCPU machine (numpy 2.4.6, one BLAS thread), a 440-matrix sweep block at
+three factors took 4.1 ms against 4.7 ms when compacting on every
+acceptance; on 4096-matrix blocks at one factor (n = 6 continuous, n = 9
+discrete) the lazy rule cost 1-3%.
+
+Blocks of fewer than ``CHORD_MIN_ROWS`` matrices skip the chord steps and are
+audited by squaring alone, all factors in one :func:`perron_batch` call per
+entry. The crossover is a count of matrices and barely moves with the number
+of factors, since both kernels batch the factors alike. Timing both kernels
+alternately (best of 25) on blocks of 32-256 matrices, at one factor and at
+three, put it near 32-40 matrices at n = 4 (sweep ordinals), 96 at n = 6 and
+48-64 at n = 9, all on the discrete scale; ``CHORD_MIN_ROWS`` stays above
+all of them.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -58,11 +86,13 @@ MAX_SQUARINGS = 24
 RESIDUAL_RTOL = 1e-12
 # Chord steps per perturbed solve before falling back to squaring.
 CHORD_STEPS = 12
-# Matrices per audit block; bounds the chord kernel's working set.
+# Matrices per audit block (each brings one column per factor); bounds the
+# chord kernel's working set.
 AUDIT_BLOCK = 4096
-# Blocks with fewer matrices are audited by squaring alone: below about 80
-# (n = 4) to 150 (n = 6) matrices, the chord steps' fixed cost per call
-# exceeds that of the squaring solves they replace.
+# Blocks with fewer matrices are audited by squaring alone: below about 40
+# (n = 4) to 96 (n = 6) matrices, whether audited at one factor or three, the
+# chord steps' fixed cost per call exceeds that of the squaring solves they
+# replace.
 CHORD_MIN_ROWS = 128
 
 
@@ -119,7 +149,7 @@ def perron_batch(
 
     squarings = base_squarings
     while not np.all(ok) and squarings < max_squarings:
-        squarings += 4
+        squarings = min(squarings + 4, max_squarings)
         retry = np.flatnonzero(~ok)
         w_r = _power_weights(mats[retry], squarings)
         aw_r = np.einsum("bij,bj->bi", mats[retry], w_r)
@@ -141,75 +171,90 @@ def rgm_batch(mats: np.ndarray) -> np.ndarray:
 def violation_flags(
     mats: np.ndarray,
     w0: np.ndarray,
-    factor: float,
+    factors: tuple[float, ...],
     margin: float,
     method: str = "eigenvector",
     rtol: float = RESIDUAL_RTOL,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flag matrices whose weight ratios move against an increased judgment.
 
-    For every upper-triangle entry (i, j) of each matrix, the entry is
-    multiplied by ``factor`` (mirror divided), weights are recomputed with
-    ``method``, and the matrix is flagged as soon as some ratio w_i/w_k drops
-    by more than ``margin`` relative to its unperturbed value. ``w0`` holds
-    the unperturbed weights, for the eigenvector method the Perron vectors
-    of ``mats``. Entries are scanned in row-major order and a flagged matrix
-    is not scanned further, which cannot change the flag. Returns
-    ``(violated, ok, first)``: ``violated`` and ``ok`` are booleans of shape
-    (B,), ``ok`` False where some required eigen solve failed to converge;
-    ``first`` (B, 3) holds the 1-based (i, j, k) of each flagged matrix's
-    first drop (smallest k at the flagging entry) and zeros elsewhere.
+    For every factor f in ``factors`` and every upper-triangle entry (i, j)
+    of each matrix, the entry is multiplied by f (mirror divided), weights
+    are recomputed with ``method``, and the matrix is flagged at f as soon as
+    some ratio w_i/w_k drops by more than ``margin`` relative to its
+    unperturbed value. ``w0`` holds the unperturbed weights, for the
+    eigenvector method the Perron vectors of ``mats``. Entries are scanned
+    in row-major order and a matrix flagged at f is not scanned further at f,
+    which cannot change the flag. Returns ``(violated, ok, first)``, indexed
+    by factor first: ``violated`` and ``ok`` are booleans of shape (F, B),
+    ``ok`` False where some required eigen solve failed to converge;
+    ``first`` (F, B, 3) holds the 1-based (i, j, k) of each flag's first
+    drop (smallest k at the flagging entry) and zeros elsewhere.
     """
     mats = np.asarray(mats, dtype=float)
     w0 = np.asarray(w0, dtype=float)
+    factors = np.array(factors, dtype=float)
+    if factors.ndim != 1 or factors.size == 0:
+        raise ValidationError(f"factors must be a non-empty sequence, got {factors!r}")
     use_eigen = canonical_method(method) == "eigenvector"
-    b = mats.shape[0]
-    violated = np.zeros(b, dtype=bool)
-    ok = np.ones(b, dtype=bool)
-    first = np.zeros((b, 3), dtype=np.int64)
-    # blocks bound the chord kernel's working set; the slices are views, so
-    # each block fills its share of the outputs in place
+    f, b = factors.size, mats.shape[0]
+    violated = np.zeros((f, b), dtype=bool)
+    ok = np.ones((f, b), dtype=bool)
+    first = np.zeros((f, b, 3), dtype=np.int64)
+    # blocks bound the chord kernel's working set
     for lo in range(0, b, AUDIT_BLOCK):
         block = slice(lo, lo + AUDIT_BLOCK)
-        _audit_block(mats[block], w0[block], factor, 1.0 - margin, use_eigen, rtol,
-                     violated[block], ok[block], first[block])
+        got = _audit_block(mats[block], w0[block], factors, 1.0 - margin, use_eigen, rtol)
+        for out, cols in zip((violated, ok, first), got):
+            out[:, block] = cols.reshape(f, -1, *cols.shape[1:])
     return violated, ok, first
 
 
-def _audit_block(mats, w0, factor, thresh, use_eigen, rtol, violated, ok, first) -> None:
-    """The row-major scan of :func:`violation_flags` over one block."""
-    n = mats.shape[1]
-    chord = _ChordSolver(mats, w0) if use_eigen and len(mats) >= CHORD_MIN_ROWS else None
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            active = np.flatnonzero(~violated & ok)
-            if active.size == 0:
-                return
-            if not use_eigen:
-                w1 = rgm_batch(_perturbed(mats, active, i, j, factor))
+def _audit_block(mats, w0, factors, thresh, use_eigen, rtol):
+    """The row-major scan of :func:`violation_flags` over one block.
+
+    Column c is matrix c % B at factor ``factors[c // B]``. Returns the
+    flat (F*B,) ``violated`` and ``ok`` and the (F*B, 3) ``first``.
+    """
+    b, n, _ = mats.shape
+    col_mat = np.tile(np.arange(b), factors.size)
+    col_fac = np.repeat(factors, b)
+    violated = np.zeros(col_mat.size, dtype=bool)
+    ok = np.ones(col_mat.size, dtype=bool)
+    first = np.zeros((col_mat.size, 3), dtype=np.int64)
+    chord = _ChordSolver(mats, w0, factors) if use_eigen and b >= CHORD_MIN_ROWS else None
+    w0 = w0[col_mat]
+    for i, j in itertools.combinations(range(n), 2):
+        active = np.flatnonzero(~violated & ok)
+        if active.size == 0:
+            break
+        if not use_eigen:
+            w1 = rgm_batch(_perturbed(mats, col_mat[active], i, j, col_fac[active]))
+        else:
+            if chord is not None:
+                w1, ok1 = chord.solve(active, i, j, rtol)
             else:
-                if chord is not None:
-                    w1, ok1 = chord.solve(active, i, j, factor, rtol)
-                else:
-                    _, w1, _, ok1 = perron_batch(_perturbed(mats, active, i, j, factor),
-                                                 rtol=rtol)
-                ok[active[~ok1]] = False
-                active = active[ok1]
-                w1 = w1[ok1]
-            r0 = w0[active, i, None] / w0[active]  # (B', n): w_i/w_k before
-            r1 = w1[:, i, None] / w1  # after
-            worse = r1 < r0 * thresh
-            worse[:, i] = False  # k = i is identically 1
-            hit = np.any(worse, axis=1)
-            rows = active[hit]
-            violated[rows] = True
-            first[rows, :2] = i + 1, j + 1
-            first[rows, 2] = np.argmax(worse[hit], axis=1) + 1
+                _, w1, _, ok1 = perron_batch(
+                    _perturbed(mats, col_mat[active], i, j, col_fac[active]), rtol=rtol)
+            ok[active[~ok1]] = False
+            active = active[ok1]
+            w1 = w1[ok1]
+        r0 = w0[active, i, None] / w0[active]  # (R, n): w_i/w_k before
+        r1 = w1[:, i, None] / w1  # after
+        worse = r1 < r0 * thresh
+        worse[:, i] = False  # k = i is identically 1
+        hit = np.any(worse, axis=1)
+        rows = active[hit]
+        violated[rows] = True
+        first[rows, :2] = i + 1, j + 1
+        first[rows, 2] = np.argmax(worse[hit], axis=1) + 1
+    return violated, ok, first
 
 
 def _perturbed(mats: np.ndarray, rows: np.ndarray, i: int, j: int,
-               factor: float) -> np.ndarray:
-    """Copies of ``mats[rows]`` with a_ij multiplied and a_ji divided by ``factor``."""
+               factor) -> np.ndarray:
+    """Copies of ``mats[rows]`` with a_ij multiplied and a_ji divided by
+    ``factor``, a scalar or one value per row."""
     pert = mats[rows]
     pert[:, i, j] *= factor
     pert[:, j, i] /= factor
@@ -236,74 +281,92 @@ def _perturbed_residual(aw, w, i, j, d_ij, d_ji) -> tuple[np.ndarray, np.ndarray
 class _ChordSolver:
     """Perron vectors of single-entry perturbations of a block of matrices.
 
-    Holds, per matrix and in (n, n, B) layout, A, A w0 and the w-block of
-    the inverse of the bordered Jacobian [[A - lam0 I, -w0], [1^T, 0]], each
-    computed once. The held rows shrink with the audit's active set, so every
+    Works on (matrix, factor) columns: for B matrices and F factors, column
+    c is matrix c % B at factor ``factors[c // B]``. A w0 and the w-block of
+    the inverse of the bordered Jacobian [[A - lam0 I, -w0], [1^T, 0]] are
+    computed once per matrix and, with A, tiled to the columns in (n, n, F*B)
+    layout. The held columns shrink with the audit's active set, so every
     step works on contiguous arrays.
     """
 
-    def __init__(self, mats: np.ndarray, w0: np.ndarray) -> None:
+    def __init__(self, mats: np.ndarray, w0: np.ndarray, factors: np.ndarray) -> None:
         b, n, _ = mats.shape
         self.mats = mats
-        self.rows = np.arange(b)
-        self.mats_t = np.ascontiguousarray(mats.transpose(1, 2, 0))
-        self.w0 = np.ascontiguousarray(w0.T)
-        self.aw0 = _matvec(self.mats_t, self.w0)
-        lam0 = np.mean(self.aw0 / self.w0, axis=0)
+        self.cols = np.arange(factors.size * b)
+        self.fac = np.repeat(factors, b)
+        mats_t = np.ascontiguousarray(mats.transpose(1, 2, 0))
+        w0_t = np.ascontiguousarray(w0.T)
+        aw0 = _matvec(mats_t, w0_t)
+        lam0 = np.mean(aw0 / w0_t, axis=0)
         jac = np.zeros((b, n + 1, n + 1))
         jac[:, :n, :n] = mats
         jac[:, range(n), range(n)] -= lam0[:, None]
         jac[:, :n, n] = -w0
         jac[:, n, :n] = 1.0
         # the steps keep 1^T w fixed, so the last column is never needed
-        inv = np.linalg.inv(jac)[:, :n, :n]
-        self.inv_t = np.ascontiguousarray(inv.transpose(1, 2, 0))
-
-    def _hold(self, rows: np.ndarray) -> None:
-        """Drop held rows not in ``rows``, a sorted subset of them."""
-        if rows.size == self.rows.size:
-            return
-        pos = np.searchsorted(self.rows, rows)
-        self.rows = rows
+        inv_t = np.ascontiguousarray(np.linalg.inv(jac)[:, :n, :n].transpose(1, 2, 0))
+        del jac  # before the copies below, which bounds the peak working set
+        # a copy per array costs a one-factor audit at n = 9 about 1.5%
         self.mats_t, self.w0, self.aw0, self.inv_t = (
-            np.take(x, pos, axis=-1) for x in (self.mats_t, self.w0, self.aw0, self.inv_t))
+            x if factors.size == 1 else np.tile(x, factors.size)
+            for x in (mats_t, w0_t, aw0, inv_t))
 
-    def solve(self, rows: np.ndarray, i: int, j: int, factor: float,
+    def _hold(self, cols: np.ndarray) -> None:
+        """Drop held columns not in ``cols``, a sorted subset of them."""
+        if cols.size == self.cols.size:
+            return
+        pos = np.searchsorted(self.cols, cols)
+        self.cols = cols
+        self.fac, self.mats_t, self.w0, self.aw0, self.inv_t = (
+            np.take(x, pos, axis=-1)
+            for x in (self.fac, self.mats_t, self.w0, self.aw0, self.inv_t))
+
+    def solve(self, cols: np.ndarray, i: int, j: int,
               rtol: float) -> tuple[np.ndarray, np.ndarray]:
-        """Perron vectors (R, n) of the given rows with a_ij scaled by
-        ``factor`` and a_ji by its reciprocal, and their ``ok`` flags.
+        """Perron vectors (C, n) of the given columns' matrices with a_ij
+        scaled by the column's factor and a_ji by its reciprocal, and their
+        ``ok`` flags.
 
-        ``rows`` must be a sorted subset of the rows of the previous call.
+        ``cols`` must be a sorted subset of the columns of the previous call.
         Each chord step is w -= M (A'w - lam w), with M the held inverse
         block and lam the mean ratio (A'w)_p / w_p. An iterate is accepted
         under :func:`perron_batch`'s residual test, and only while positive;
-        rows not accepted within ``CHORD_STEPS`` steps are solved by
+        a column's first accepted iterate is its result. Accepted columns
+        keep stepping, unread, until at least half of the working set is
+        accepted; only then is the working set compacted. Columns not
+        accepted within ``CHORD_STEPS`` steps are solved by
         :func:`perron_batch` on an explicit perturbed copy.
         """
-        self._hold(rows)
-        a, inv, w = self.mats_t, self.inv_t, self.w0
-        d_ij = a[i, j] * factor - a[i, j]
-        d_ji = a[j, i] / factor - a[j, i]
+        self._hold(cols)
+        a, inv, w, fac = self.mats_t, self.inv_t, self.w0, self.fac
+        d_ij = a[i, j] * fac - a[i, j]
+        d_ji = a[j, i] / fac - a[j, i]
         resid, _ = _perturbed_residual(self.aw0.copy(), w, i, j, d_ij, d_ji)
-        out = np.empty((rows.size, len(w)))
-        ok = np.zeros(rows.size, dtype=bool)
-        left = np.arange(rows.size)
+        out = np.empty((cols.size, len(w)))
+        ok = np.zeros(cols.size, dtype=bool)
+        # the working set's positions in `out`, and which of them still wait
+        left = np.arange(cols.size)
+        pending = np.ones(cols.size, dtype=bool)
         for _ in range(CHORD_STEPS):
             w = w - _matvec(inv, resid)
             resid, lam = _perturbed_residual(_matvec(a, w), w, i, j, d_ij, d_ji)
             done = ((np.maximum.reduce(np.abs(resid), axis=0) <= rtol * lam)
-                    & (np.minimum.reduce(w, axis=0) > 0))
+                    & (np.minimum.reduce(w, axis=0) > 0) & pending)
             if not done.any():
                 continue
             out[left[done]] = w[:, done].T
             ok[left[done]] = True
-            keep = ~done
-            left = left[keep]
-            if left.size == 0:
+            pending &= ~done
+            waiting = np.count_nonzero(pending)
+            if waiting == 0:
                 break
-            a, inv, w, resid, d_ij, d_ji = (
-                np.compress(keep, x, axis=-1) for x in (a, inv, w, resid, d_ij, d_ji))
+            if 2 * waiting <= pending.size:
+                left = left[pending]
+                a, inv, w, resid, d_ij, d_ji = (
+                    np.compress(pending, x, axis=-1) for x in (a, inv, w, resid, d_ij, d_ji))
+                pending = np.ones(left.size, dtype=bool)
+        left = np.flatnonzero(~ok)
         if left.size:
-            pert = _perturbed(self.mats, rows[left], i, j, factor)
+            pert = _perturbed(self.mats, cols[left] % len(self.mats), i, j, self.fac[left])
             _, out[left], _, ok[left] = perron_batch(pert, rtol=rtol)
         return out, ok

@@ -83,31 +83,42 @@ class CrHistogram:
 
     def assign_bins(self, cr: np.ndarray) -> tuple[np.ndarray, int]:
         """Vectorized bin indices with the tie-to-lower-bin rule applied."""
+        m, tie = self._bins_and_ties(cr)
+        return m, int(np.count_nonzero(tie))
+
+    def _bins_and_ties(self, cr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scaled = cr / self.beta
         m = np.floor(scaled).astype(np.int64)
         nearest = np.rint(scaled).astype(np.int64)
         tie = (np.abs(cr - nearest * self.beta) <= BIN_TIE_TOL) & (nearest >= 1)
-        m = np.where(tie, nearest - 1, m)
-        return m, int(np.count_nonzero(tie))
+        return np.where(tie, nearest - 1, m), tie
 
     def record_array(self, cr: np.ndarray, checked: np.ndarray, violated: np.ndarray) -> None:
         """Tally a batch: every matrix counts once; violations only where checked."""
-        m, ties = self.assign_bins(cr)
-        self.boundary_ties += ties
-        self.samples += cr.size
-        cap_bins = self.cap_bins
-        if cap_bins is not None:
-            over = m >= cap_bins
-            self.overflow[0] += int(np.count_nonzero(over))
-            self.overflow[1] += int(np.count_nonzero(over & checked & violated))
-            keep = ~over
-        else:
-            keep = np.ones(cr.size, dtype=bool)
-        for idx, count in zip(*np.unique(m[keep], return_counts=True)):
-            self.bins.setdefault(int(idx), [0, 0])[0] += int(count)
-        hit = keep & checked & violated
-        for idx, count in zip(*np.unique(m[hit], return_counts=True)):
-            self.bins[int(idx)][1] += int(count)
+        m, tie = self._bins_and_ties(cr)
+        keys, slot = np.unique(m, return_inverse=True)
+        self.record_binned(keys, slot, tie, np.ones(cr.size, dtype=bool), checked & violated)
+
+    def record_binned(self, keys: np.ndarray, slot: np.ndarray, tie: np.ndarray,
+                      counted: np.ndarray, hit: np.ndarray) -> None:
+        """Tally a batch already binned: row r falls in bin ``keys[slot[r]]``
+        and ``tie[r]`` marks a boundary tie. Rows in ``counted`` count once,
+        and those also in ``hit`` count as violating."""
+        self.boundary_ties += int(np.count_nonzero(tie & counted))
+        self.samples += int(np.count_nonzero(counted))
+        totals = np.bincount(slot[counted], minlength=keys.size)
+        violating = np.bincount(slot[counted & hit], minlength=keys.size)
+        if self.cap_bins is not None:
+            over = keys >= self.cap_bins
+            self.overflow[0] += int(totals[over].sum())
+            self.overflow[1] += int(violating[over].sum())
+            keys, totals, violating = keys[~over], totals[~over], violating[~over]
+        seen = totals > 0
+        for idx, total, hits in zip(keys[seen].tolist(), totals[seen].tolist(),
+                                    violating[seen].tolist()):
+            bin_counts = self.bins.setdefault(idx, [0, 0])
+            bin_counts[0] += total
+            bin_counts[1] += hits
 
     def record_failures(self, count: int) -> None:
         self.failures += count
@@ -217,10 +228,10 @@ def audit_population(
 ) -> dict[float, CrHistogram]:
     """Bin a (B, n, n) batch by CR and tally violations at each factor.
 
-    One base Perron solve serves every factor. Matrices whose base solve,
-    CI or audit fails count as failures. With ``audit_overflow`` False the
-    audit skips matrices binned in the cap's overflow bucket; they still
-    count toward totals. Each histogram keeps the lowest-CR violating matrix
+    One base Perron solve, one binning and one audit scan serve every
+    factor. Matrices whose base solve, CI or audit fails count as failures.
+    With ``audit_overflow`` False the audit skips matrices binned in the
+    cap's overflow bucket; they still count toward totals. Each histogram keeps the lowest-CR violating matrix
     with its first violating (i, j, k).
     """
     n = mats.shape[1]
@@ -230,26 +241,30 @@ def audit_population(
     ok &= ci >= -CI_NOISE_CLAMP
     cr = np.maximum(ci, 0.0) / ri
 
-    audit = ok.copy()
+    # bin once for every factor; the histograms share their geometry
+    solved = np.flatnonzero(ok)
+    geometry = hists[factors[0]]
+    m, tie = geometry._bins_and_ties(cr[solved])
+    keys, slot = np.unique(m, return_inverse=True)
+    audit = np.ones(solved.size, dtype=bool)
     if cap is not None and not audit_overflow:
         # gate on the assigned bin, not the raw value, so a CR tied onto the
         # cap boundary (which bins low) still gets audited
-        gate = hists[factors[0]]
-        bins, _ = gate.assign_bins(cr)
-        audit &= bins < gate.cap_bins
-    idx = np.flatnonzero(audit)
-    audited, w_audited = mats[idx], w0[idx]
-    for factor, hist in hists.items():
-        flags, ok_audit, first = bulk.violation_flags(audited, w_audited, factor, margin)
-        counted = ok.copy()
-        counted[idx[~ok_audit]] = False
-        violated = np.zeros(len(mats), dtype=bool)
-        violated[idx] = flags
-        hist.record_failures(int(np.count_nonzero(~counted)))
-        hist.record_array(cr[counted], audit[counted], violated[counted])
-        if flags.any():
-            hit = idx[flags]
-            hist.offer_min_example(_min_example(audited[flags], cr[hit], first[flags]))
+        audit = m < geometry.cap_bins
+    audit_at = np.flatnonzero(audit)
+    idx = solved[audit_at]
+    audited = mats[idx]
+    flags, ok_audit, first = bulk.violation_flags(audited, w0[idx], factors, margin)
+    for hist, flags_f, ok_f, first_f in zip(hists.values(), flags, ok_audit, first):
+        counted = np.ones(solved.size, dtype=bool)
+        counted[audit_at[~ok_f]] = False
+        hit = np.zeros(solved.size, dtype=bool)
+        hit[audit_at[flags_f]] = True
+        hist.record_failures(len(mats) - int(np.count_nonzero(counted)))
+        hist.record_binned(keys, slot, tie, counted, hit)
+        if flags_f.any():
+            hist.offer_min_example(_min_example(audited[flags_f], cr[idx[flags_f]],
+                                                first_f[flags_f]))
     return hists
 
 

@@ -95,8 +95,8 @@ def test_criterion_5_rgm_monotonicity_property():
             mats = generate_batch(config, 0, 850)
             w0 = bulk.rgm_batch(mats)
             for factor in (1.001, 1.01, 1.1):
-                violated, _, _ = bulk.violation_flags(
-                    mats, w0, factor, 1e-9, method="row_geometric_mean")
+                violated = bulk.violation_flags(
+                    mats, w0, (factor,), 1e-9, method="row_geometric_mean")[0][0]
                 assert not np.any(violated), (n, scale, factor)
             checked += mats.shape[0]
     assert checked >= 10_000

@@ -5,11 +5,17 @@ perturbed matrix is copied and re-solved from scratch by ``perron_batch``.
 It stays here as the reference that ``bulk.violation_flags`` is compared to.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from pcmaudit import GeneratorConfig, bulk
+from conftest import STALLED_UPPER
+from pcmaudit import GeneratorConfig, build_matrix, bulk
+from pcmaudit.errors import ValidationError
 from pcmaudit.generate import generate_batch
+
+FACTORS = (1.001, 1.01, 1.1)
 
 
 def squaring_scan(mats, w0, factor, margin, rtol=bulk.RESIDUAL_RTOL):
@@ -46,18 +52,40 @@ def _population(n, scale, count=2048):
     return mats, w0
 
 
+@functools.lru_cache(maxsize=None)
+def _reference(n, scale, factor):
+    """The squaring scan of ``_population(n, scale)``, shared by the tests."""
+    return squaring_scan(*_population(n, scale), factor, 1e-9)
+
+
+def _one(flags, f=0):
+    """The (violated, ok, first) of factor ``f`` from a multi-factor result."""
+    return tuple(x[f] for x in flags)
+
+
 def _assert_same(got, want):
     for name, g, w in zip(("violated", "ok", "first"), got, want):
         np.testing.assert_array_equal(g, w, err_msg=name)
 
 
-@pytest.mark.parametrize("factor", [1.001, 1.01, 1.1])
+@pytest.mark.parametrize("factor", FACTORS)
 @pytest.mark.parametrize("scale", ["discrete", "continuous"])
 @pytest.mark.parametrize("n", range(3, 10))
 def test_chord_flags_match_squaring(n, scale, factor):
     mats, w0 = _population(n, scale)
-    _assert_same(bulk.violation_flags(mats, w0, factor, 1e-9),
-                 squaring_scan(mats, w0, factor, 1e-9))
+    _assert_same(_one(bulk.violation_flags(mats, w0, (factor,), 1e-9)),
+                 _reference(n, scale, factor))
+
+
+@pytest.mark.parametrize("scale", ["discrete", "continuous"])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_one_call_over_all_factors_matches_squaring(n, scale):
+    mats, w0 = _population(n, scale)
+    got = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
+    assert got[0].shape == got[1].shape == (3, len(mats))
+    assert got[2].shape == (3, len(mats), 3)
+    for f, factor in enumerate(FACTORS):
+        _assert_same(_one(got, f), _reference(n, scale, factor))
 
 
 # the dip at entry (1, 3) is narrow: a 10% step jumps over it
@@ -68,18 +96,63 @@ def test_chord_flags_match_squaring_on_counterexample(
     monkeypatch.setattr(bulk, "CHORD_MIN_ROWS", min_rows)
     mats = kinked_matrix.entries[None]
     _, w0, _, _ = bulk.perron_batch(mats)
-    got = bulk.violation_flags(mats, w0, factor, 1e-9)
+    got = _one(bulk.violation_flags(mats, w0, (factor,), 1e-9))
     _assert_same(got, squaring_scan(mats, w0, factor, 1e-9))
     assert got[0][0] == flagged
+
+
+@pytest.mark.parametrize("min_rows", [1, bulk.CHORD_MIN_ROWS])
+def test_counterexample_in_one_call(monkeypatch, kinked_matrix, min_rows):
+    monkeypatch.setattr(bulk, "CHORD_MIN_ROWS", min_rows)
+    mats = kinked_matrix.entries[None]
+    _, w0, _, _ = bulk.perron_batch(mats)
+    violated, ok, first = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
+    assert ok.all()
+    assert violated[:, 0].tolist() == [True, True, False]
+    assert first[:, 0].tolist() == [[1, 3, 4], [1, 3, 4], [0, 0, 0]]
 
 
 def test_audit_blocks_do_not_change_flags(monkeypatch):
     # blocks of 300, 300, 300 and 100 matrices; the last one is below
     # CHORD_MIN_ROWS and is audited by squaring alone
     mats, w0 = _population(6, "discrete", 1000)
-    want = bulk.violation_flags(mats, w0, 1.01, 1e-9)
+    want = bulk.violation_flags(mats, w0, (1.01,), 1e-9)
     monkeypatch.setattr(bulk, "AUDIT_BLOCK", 300)
-    _assert_same(bulk.violation_flags(mats, w0, 1.01, 1e-9), want)
+    _assert_same(bulk.violation_flags(mats, w0, (1.01,), 1e-9), want)
+
+
+def test_audit_blocks_over_all_factors_match_squaring(monkeypatch):
+    # the same blocks, with every matrix audited at three factors at once
+    mats, w0 = _population(6, "discrete", 1000)
+    monkeypatch.setattr(bulk, "AUDIT_BLOCK", 300)
+    got = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
+    for f, factor in enumerate(FACTORS):
+        _assert_same(_one(got, f), squaring_scan(mats, w0, factor, 1e-9))
+
+
+def test_one_inverse_per_block_whatever_the_factors(monkeypatch):
+    mats, w0 = _population(4, "discrete", 1000)
+    monkeypatch.setattr(bulk, "AUDIT_BLOCK", 300)
+    inverted = []
+
+    def counting(a):
+        inverted.append(len(a))
+        return inv(a)
+
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    for factors in ((1.01,), FACTORS):
+        inverted.clear()
+        bulk.violation_flags(mats, w0, factors, 1e-9)
+        # the tail block of 100 matrices is below CHORD_MIN_ROWS
+        assert inverted == [300, 300, 300], factors
+
+
+@pytest.mark.parametrize("factors", [1.01, ()])
+def test_factors_must_be_a_non_empty_sequence(factors):
+    mats, w0 = _population(4, "discrete", 8)
+    with pytest.raises(ValidationError):
+        bulk.violation_flags(mats, w0, factors, 1e-9)
 
 
 def test_n9_audit_at_factor_101_needs_no_fallback(monkeypatch):
@@ -92,7 +165,7 @@ def test_n9_audit_at_factor_101_needs_no_fallback(monkeypatch):
 
     perron_batch = bulk.perron_batch
     monkeypatch.setattr(bulk, "perron_batch", counting)
-    bulk.violation_flags(mats, w0, 1.01, 1e-9)
+    bulk.violation_flags(mats, w0, (1.01,), 1e-9)
     assert fallback_rows == []
 
 
@@ -101,14 +174,14 @@ def test_squaring_fallback_alone_gives_the_same_flags(monkeypatch, n, factor):
     mats, w0 = _population(n, "discrete", 512)
     want = squaring_scan(mats, w0, factor, 1e-9)
     monkeypatch.setattr(bulk, "CHORD_STEPS", 0)
-    _assert_same(bulk.violation_flags(mats, w0, factor, 1e-9), want)
+    _assert_same(_one(bulk.violation_flags(mats, w0, (factor,), 1e-9)), want)
 
 
 def test_unreachable_tolerance_fails_every_row():
     # a chord iterate can reach a residual of exactly 0.0 in floating point,
     # so only a negative tolerance is out of reach for every row
     mats, w0 = _population(5, "discrete", 256)
-    violated, ok, first = bulk.violation_flags(mats, w0, 1.01, 1e-9, rtol=-1.0)
+    violated, ok, first = _one(bulk.violation_flags(mats, w0, (1.01,), 1e-9, rtol=-1.0))
     assert not ok.any()
     assert not violated.any()
     assert not first.any()
@@ -116,6 +189,21 @@ def test_unreachable_tolerance_fails_every_row():
 
 
 def test_empty_batch():
-    violated, ok, first = bulk.violation_flags(np.ones((0, 4, 4)), np.ones((0, 4)), 1.01, 1e-9)
-    assert violated.shape == ok.shape == (0,)
-    assert first.shape == (0, 3)
+    violated, ok, first = bulk.violation_flags(np.ones((0, 4, 4)), np.ones((0, 4)), FACTORS, 1e-9)
+    assert violated.shape == ok.shape == (3, 0)
+    assert first.shape == (3, 0, 3)
+
+
+def test_retries_stop_at_max_squarings(monkeypatch):
+    exponents = []
+
+    def recording(mats, squarings):
+        exponents.append(squarings)
+        return power_weights(mats, squarings)
+
+    power_weights = bulk._power_weights
+    monkeypatch.setattr(bulk, "_power_weights", recording)
+    _, _, _, ok = bulk.perron_batch(build_matrix(4, STALLED_UPPER).entries[None])
+    assert not ok.any()
+    assert exponents == [bulk.BASE_SQUARINGS, 17, 21, bulk.MAX_SQUARINGS]
+    assert max(exponents) == bulk.MAX_SQUARINGS
