@@ -69,6 +69,13 @@ alternately (best of 25) on blocks of 32-256 matrices, at one factor and at
 three, put it near 32-40 matrices at n = 4 (sweep ordinals), 96 at n = 6 and
 48-64 at n = 9, all on the discrete scale; ``CHORD_MIN_ROWS`` stays above
 all of them.
+
+Full scan. The entry scan ``_audit_block`` drops a column at its first flag,
+all that :func:`violation_flags` needs. Its one other caller, the scalar
+audit in :mod:`pcmaudit.monotonic`, reports every violating (i, j, k), so the
+scan has a full mode with no early exit: it returns the perturbed weights,
+``ok`` and drop bits over k of every (factor, matrix, upper entry). There the
+block is one matrix, so each entry takes one :func:`perron_batch` call.
 """
 
 from __future__ import annotations
@@ -142,24 +149,24 @@ def perron_batch(
     """
     mats = np.ascontiguousarray(mats, dtype=float)
     w = _power_weights(mats, base_squarings)
-    aw = np.einsum("bij,bj->bi", mats, w)
-    lam = np.mean(aw / w, axis=1)
-    residual = np.max(np.abs(aw - lam[:, None] * w), axis=1)
+    lam, residual = _rayleigh(mats, w)
     ok = residual <= rtol * lam
 
     squarings = base_squarings
     while not np.all(ok) and squarings < max_squarings:
         squarings = min(squarings + 4, max_squarings)
         retry = np.flatnonzero(~ok)
-        w_r = _power_weights(mats[retry], squarings)
-        aw_r = np.einsum("bij,bj->bi", mats[retry], w_r)
-        lam_r = np.mean(aw_r / w_r, axis=1)
-        res_r = np.max(np.abs(aw_r - lam_r[:, None] * w_r), axis=1)
-        w[retry] = w_r
-        lam[retry] = lam_r
-        residual[retry] = res_r
-        ok[retry] = res_r <= rtol * lam_r
+        w[retry] = _power_weights(mats[retry], squarings)
+        lam[retry], residual[retry] = _rayleigh(mats[retry], w[retry])
+        ok[retry] = residual[retry] <= rtol * lam[retry]
     return lam, w, residual, ok
+
+
+def _rayleigh(mats: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix, lam = mean (Aw)_p / w_p and the residual max|Aw - lam*w|."""
+    aw = np.einsum("bij,bj->bi", mats, w)
+    lam = np.mean(aw / w, axis=1)
+    return lam, np.max(np.abs(aw - lam[:, None] * w), axis=1)
 
 
 def rgm_batch(mats: np.ndarray) -> np.ndarray:
@@ -210,45 +217,60 @@ def violation_flags(
     return violated, ok, first
 
 
-def _audit_block(mats, w0, factors, thresh, use_eigen, rtol):
-    """The row-major scan of :func:`violation_flags` over one block.
+def _audit_block(mats, w0, factors, thresh, use_eigen, rtol, full=False):
+    """The row-major entry scan over one block; column c is matrix c % B at
+    factor ``factors[c // B]``.
 
-    Column c is matrix c % B at factor ``factors[c // B]``. Returns the
-    flat (F*B,) ``violated`` and ``ok`` and the (F*B, 3) ``first``.
+    By default a column leaves the scan at its first flag or failed solve,
+    and the flat (F*B,) ``violated`` and ``ok`` and (F*B, 3) ``first`` of
+    :func:`violation_flags` are returned. With ``full`` no column leaves, and
+    per upper entry e (row-major) and column come the perturbed weights
+    ``w1`` (E, F*B, n), the solves' ``ok`` (E, F*B) and the ``drops``
+    (E, F*B, n) over k. A failed solve leaves its last iterate, and no drops.
     """
     b, n, _ = mats.shape
+    entries = list(itertools.combinations(range(n), 2))
     col_mat = np.tile(np.arange(b), factors.size)
     col_fac = np.repeat(factors, b)
     violated = np.zeros(col_mat.size, dtype=bool)
     ok = np.ones(col_mat.size, dtype=bool)
     first = np.zeros((col_mat.size, 3), dtype=np.int64)
+    if full:
+        shape = (len(entries), col_mat.size)
+        scan = np.empty(shape + (n,)), np.zeros(shape, bool), np.zeros(shape + (n,), bool)
     chord = _ChordSolver(mats, w0, factors) if use_eigen and b >= CHORD_MIN_ROWS else None
     w0 = w0[col_mat]
-    for i, j in itertools.combinations(range(n), 2):
+    for e, (i, j) in enumerate(entries):
+        # only the early-exit scan ever clears a column's `ok` or sets `violated`
         active = np.flatnonzero(~violated & ok)
         if active.size == 0:
             break
         if not use_eigen:
             w1 = rgm_batch(_perturbed(mats, col_mat[active], i, j, col_fac[active]))
+            ok1 = np.ones(active.size, dtype=bool)
+        elif chord is not None:
+            w1, ok1 = chord.solve(active, i, j, rtol)
         else:
-            if chord is not None:
-                w1, ok1 = chord.solve(active, i, j, rtol)
-            else:
-                _, w1, _, ok1 = perron_batch(
-                    _perturbed(mats, col_mat[active], i, j, col_fac[active]), rtol=rtol)
+            _, w1, _, ok1 = perron_batch(
+                _perturbed(mats, col_mat[active], i, j, col_fac[active]), rtol=rtol)
+        if full:
+            scan[0][e], scan[1][e] = w1, ok1
+        else:
             ok[active[~ok1]] = False
-            active = active[ok1]
-            w1 = w1[ok1]
+        active, w1 = active[ok1], w1[ok1]
         r0 = w0[active, i, None] / w0[active]  # (R, n): w_i/w_k before
         r1 = w1[:, i, None] / w1  # after
         worse = r1 < r0 * thresh
         worse[:, i] = False  # k = i is identically 1
+        if full:
+            scan[2][e, active] = worse
+            continue
         hit = np.any(worse, axis=1)
         rows = active[hit]
         violated[rows] = True
         first[rows, :2] = i + 1, j + 1
         first[rows, 2] = np.argmax(worse[hit], axis=1) + 1
-    return violated, ok, first
+    return scan if full else (violated, ok, first)
 
 
 def _perturbed(mats: np.ndarray, rows: np.ndarray, i: int, j: int,

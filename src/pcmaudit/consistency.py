@@ -101,20 +101,18 @@ class InconsistencyReport:
     acceptable: bool
 
 
-def _clamp_ci(ci: float) -> float:
-    if -CI_NOISE_CLAMP <= ci < 0.0:
-        return 0.0
-    if ci < 0.0:
+def _lambda_and_ci(a: PairwiseComparisonMatrix) -> tuple[float, float]:
+    """lambda_max and CI; exact for n = 2, noise near zero clamped to zero."""
+    lam = 2.0 if a.n == 2 else eigenvector_method(a).lambda_max
+    ci = (lam - a.n) / (a.n - 1)
+    if ci < -CI_NOISE_CLAMP:
         raise ValidationError(f"consistency index {ci} is negative beyond rounding noise")
-    return ci
+    return lam, max(ci, 0.0)
 
 
 def consistency_index(a: PairwiseComparisonMatrix) -> float:
     """CI of a matrix; exact zeros for n = 2, noise near zero clamped to zero."""
-    if a.n == 2:
-        return 0.0
-    lam = eigenvector_method(a).lambda_max
-    return _clamp_ci((lam - a.n) / (a.n - 1))
+    return _lambda_and_ci(a)[1]
 
 
 def consistency_ratio(
@@ -125,11 +123,7 @@ def consistency_ratio(
     if table is None:
         table = default_random_index_table("discrete")
     ri = table.lookup(a.n)
-    if a.n == 2:
-        lam, ci = 2.0, 0.0
-    else:
-        lam = eigenvector_method(a).lambda_max
-        ci = _clamp_ci((lam - a.n) / (a.n - 1))
+    lam, ci = _lambda_and_ci(a)
     cr = ci / ri
     return InconsistencyReport(a.n, lam, ci, ri, cr, cr <= ACCEPTABILITY_THRESHOLD)
 

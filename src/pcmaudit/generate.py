@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .matrix import PairwiseComparisonMatrix, build_matrix
+from .matrix import PairwiseComparisonMatrix, build_matrix, matrices_from_upper
 
 # The 17-value multiplicative judgment scale, ascending.
 SAATY_VALUES = np.array(
@@ -93,16 +93,6 @@ def upper_batch(config: GeneratorConfig, start: int, count: int) -> np.ndarray:
     if not pieces:
         return np.empty((0, config.pairs))
     return np.concatenate(pieces, axis=0) if len(pieces) > 1 else pieces[0]
-
-
-def matrices_from_upper(n: int, upper: np.ndarray) -> np.ndarray:
-    """Assemble full reciprocal matrices (B, n, n) from upper triangles (B, m)."""
-    b = upper.shape[0]
-    iu, ju = np.triu_indices(n, 1)
-    mats = np.ones((b, n, n))
-    mats[:, iu, ju] = upper
-    mats[:, ju, iu] = 1.0 / upper
-    return mats
 
 
 def generate_batch(config: GeneratorConfig, start: int, count: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bulk import _perturbed
 from .errors import MatrixParseError, ValidationError
 
 # Tolerance for accepting reciprocity/diagonal deviations in externally supplied
@@ -138,10 +139,16 @@ def build_matrix(n: int, upper_entries) -> PairwiseComparisonMatrix:
         k = int(bad[0][0])
         i, j = iu[0][k] + 1, iu[1][k] + 1
         raise ValidationError(f"entry ({i},{j}) must be positive, got {upper[k]!r}")
-    a = np.ones((n, n))
-    a[iu] = upper
-    a[iu[1], iu[0]] = 1.0 / upper
-    return PairwiseComparisonMatrix(a)
+    return PairwiseComparisonMatrix(matrices_from_upper(n, upper[None])[0])
+
+
+def matrices_from_upper(n: int, upper: np.ndarray) -> np.ndarray:
+    """Assemble full reciprocal matrices (B, n, n) from upper triangles (B, m)."""
+    iu, ju = np.triu_indices(n, 1)
+    mats = np.ones((upper.shape[0], n, n))
+    mats[:, iu, ju] = upper
+    mats[:, ju, iu] = 1.0 / upper
+    return mats
 
 
 def from_array(arr, reciprocity_rtol: float = PARSE_RECIPROCITY_RTOL) -> PairwiseComparisonMatrix:
@@ -210,10 +217,8 @@ def perturb(a: PairwiseComparisonMatrix, spec: PerturbationSpec) -> PairwiseComp
     """
     if spec.j > a.n:
         raise IndexError(f"column index {spec.j} out of range for n={a.n}")
-    m = a.entries.copy()
-    m[spec.i - 1, spec.j - 1] *= spec.factor
-    m[spec.j - 1, spec.i - 1] /= spec.factor
-    return PairwiseComparisonMatrix(m)
+    m = _perturbed(a.entries[None], np.zeros(1, dtype=int), spec.i - 1, spec.j - 1, spec.factor)
+    return PairwiseComparisonMatrix(m[0])
 
 
 def _parse_token(token: str, line: int, column: int) -> float:

@@ -2,24 +2,31 @@
 
 Increasing a judgment ``a[i, j]`` says alternative i got more preferred over
 alternative j, so no weight ratio w_i / w_k should drop as a result. The audit
-multiplies each upper-triangle entry by a factor > 1 in turn (mirror divided,
-reciprocity kept), recomputes the weights, and records every (i, j, k) whose
-ratio strictly decreased beyond a noise margin. A weaker condition is tracked
-alongside: the normalized weight w_i itself must not decrease.
+multiplies each upper-triangle entry (i < j) by a factor > 1 in turn (mirror
+divided, reciprocity kept), recomputes the weights, and records every
+(i, j, k) whose ratio strictly decreased beyond a noise margin. A weaker
+condition is tracked alongside: the normalized weight w_i itself must not
+decrease.
 
-Decreasing a judgment needs no separate pass: lowering ``a[i, j]`` is the same
-event as raising ``a[j, i]``.
+Only upper entries are raised; no lower entry is raised and none is lowered.
+So a flag can depend on how the alternatives are numbered: relabelling can
+turn a violating upper entry into a lower one, which is not audited. The
+solves and the drop test run on :mod:`pcmaudit.bulk`'s entry scan, the one
+behind ``simulate`` and ``enumerate``, here with no early exit.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
+from . import bulk, weights
 from .bulk import RESIDUAL_RTOL, canonical_method
 from .errors import ConvergenceError, ValidationError
-from .matrix import PairwiseComparisonMatrix, PerturbationSpec, perturb
-from .weights import method_weights
+from .matrix import PairwiseComparisonMatrix
 
 # A ratio must drop by more than this (relative) to count as a violation.
 # Far below the effect sizes this audit exists to find, far above eigen noise.
@@ -60,15 +67,10 @@ class MonotonicityReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "matrix_hash": self.matrix_hash,
-            "method": self.method,
-            "factor": self.factor,
-            "margin": self.margin,
-            "eigen_tol": self.eigen_tol,
-            "violations": [vars(v) for v in self.violations],
-            "weak_violations": [list(p) for p in self.weak_violations],
-        }
+        doc = asdict(self)  # fields in order, records as dicts
+        doc["violations"] = list(doc["violations"])
+        doc["weak_violations"] = [list(p) for p in self.weak_violations]
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -89,43 +91,7 @@ def check_monotonicity(
     relative residual bound every eigen solve met, ``bulk.RESIDUAL_RTOL``
     (0 for the geometric mean).
     """
-    if factor <= 1.0:
-        raise ValidationError(f"audit factor must exceed 1, got {factor}")
-    if margin < 0:
-        raise ValidationError(f"margin must be nonnegative, got {margin}")
-    method = canonical_method(method)
-    w0 = method_weights(a, method)
-    violations: list[ViolationRecord] = []
-    weak: list[tuple[int, int]] = []
-    n = a.n
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            perturbed = perturb(a, PerturbationSpec(i=i, j=j, factor=factor))
-            try:
-                w1 = method_weights(perturbed, method)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"eigen solve did not converge for perturbed entry ({i},{j})",
-                    exc.last_weights, exc.residual, exc.iterations,
-                ) from exc
-            if w1.values[i - 1] < w0.values[i - 1] * (1.0 - margin):
-                weak.append((i, j))
-            for k in range(1, n + 1):
-                if k == i:
-                    continue
-                before = w0.ratio(i, k)
-                after = w1.ratio(i, k)
-                if after < before * (1.0 - margin):
-                    violations.append(ViolationRecord(i, j, k, before, after, factor))
-    return MonotonicityReport(
-        matrix_hash=a.content_digest(),
-        method=method,
-        factor=factor,
-        margin=margin,
-        eigen_tol=RESIDUAL_RTOL if method == "eigenvector" else 0.0,
-        violations=tuple(violations),
-        weak_violations=tuple(weak),
-    )
+    return _audit(a, [factor], method, margin)[0]
 
 
 def min_violation_factor_scan(
@@ -142,8 +108,45 @@ def min_violation_factor_scan(
     factors = [float(f) for f in factors]
     if not factors:
         raise ValidationError("need at least one factor")
-    reports = {}
-    for f in factors:
-        reports[f] = check_monotonicity(a, method=method, factor=f, margin=margin)
-    return reports
+    return dict(zip(factors, _audit(a, factors, method, margin)))
 
+
+def _audit(a, factors, method, margin) -> list[MonotonicityReport]:
+    """One report per factor, from one base solve and one full entry scan."""
+    top = float(a.entries[np.triu_indices(a.n, 1)].max())
+    for factor in factors:
+        if not factor > 1.0:
+            raise ValidationError(f"audit factor must exceed 1, got {factor}")
+        if not top * factor < np.inf:  # then every a_ji / factor stays positive too
+            raise ValidationError(f"audit factor {factor} overflows a perturbed entry")
+    if margin < 0:
+        raise ValidationError(f"margin must be nonnegative, got {margin}")
+    method = canonical_method(method)
+    eigen = method == "eigenvector"
+    w0 = (weights.eigenvector_method(a).weights if eigen else weights.row_geometric_mean(a)).values
+    entries = list(itertools.combinations(range(1, a.n + 1), 2))
+    # as in eigenvector_method: squarings that overflow leave values that fail
+    # the residual test and raise below, so numpy need not warn about them
+    with np.errstate(all="ignore"):
+        w1, ok, drops = bulk._audit_block(
+            a.entries[None], w0[None], np.array(factors, dtype=float), 1.0 - margin,
+            eigen, RESIDUAL_RTOL, full=True)
+        for f, e in np.argwhere(~ok.T)[:1]:  # the first failure, factor-major
+            i, j = entries[e]
+            pert = bulk._perturbed(a.entries[None], np.zeros(1, int), i - 1, j - 1, factors[f])
+            raise ConvergenceError(
+                f"eigen solve did not converge for perturbed entry ({i},{j})", w1[e, f],
+                float(bulk._rayleigh(pert, w1[e, f][None])[1][0]), 2**bulk.MAX_SQUARINGS)
+    return [MonotonicityReport(
+        matrix_hash=a.content_digest(),
+        method=method,
+        factor=factor,
+        margin=margin,
+        eigen_tol=RESIDUAL_RTOL if eigen else 0.0,
+        violations=tuple(
+            ViolationRecord(i, j, int(k) + 1, float(w0[i - 1] / w0[k]),
+                            float(w1[e, f, i - 1] / w1[e, f, k]), factor)
+            for e, (i, j) in enumerate(entries) for k in np.flatnonzero(drops[e, f])),
+        weak_violations=tuple((i, j) for e, (i, j) in enumerate(entries)
+                              if w1[e, f, i - 1] < w0[i - 1] * (1.0 - margin)),
+    ) for f, factor in enumerate(factors)]

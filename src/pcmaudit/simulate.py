@@ -81,11 +81,6 @@ class CrHistogram:
     def cap_bins(self) -> int | None:
         return None if self.cap is None else int(round(self.cap / self.beta))
 
-    def assign_bins(self, cr: np.ndarray) -> tuple[np.ndarray, int]:
-        """Vectorized bin indices with the tie-to-lower-bin rule applied."""
-        m, tie = self._bins_and_ties(cr)
-        return m, int(np.count_nonzero(tie))
-
     def _bins_and_ties(self, cr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scaled = cr / self.beta
         m = np.floor(scaled).astype(np.int64)

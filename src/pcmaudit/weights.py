@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bulk
-from .bulk import canonical_method
 from .errors import ConvergenceError, ValidationError
 from .matrix import PairwiseComparisonMatrix
 
@@ -87,16 +86,6 @@ def eigenvector_method(a: PairwiseComparisonMatrix) -> EigenResult:
 
 
 def row_geometric_mean(a: PairwiseComparisonMatrix) -> WeightVector:
-    """Weights proportional to the geometric mean of each row.
-
-    Computed in the log domain to stay stable for extreme judgment scales.
-    """
-    g = np.exp(np.mean(np.log(a.entries), axis=1))
-    return WeightVector(g / g.sum())
-
-
-def method_weights(a: PairwiseComparisonMatrix, method: str) -> WeightVector:
-    """Dispatch helper: ``method`` is any spelling in :data:`bulk.METHOD_ALIASES`."""
-    if canonical_method(method) == "eigenvector":
-        return eigenvector_method(a).weights
-    return row_geometric_mean(a)
+    """Weights proportional to the geometric mean of each row, computed in the
+    log domain (stable for extreme judgment scales) by :func:`bulk.rgm_batch`."""
+    return WeightVector(bulk.rgm_batch(a.entries[None])[0])

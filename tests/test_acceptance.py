@@ -183,7 +183,7 @@ def test_criterion_8_exhaustive_smoke():
 
 
 @pytest.mark.skipif(os.environ.get("PCMAUDIT_FULL_SWEEP") != "1",
-                    reason="full 24.1M-matrix sweep (CPU-hours); "
+                    reason="full 24.1M-matrix sweep (about 3-6 core-minutes); "
                            "set PCMAUDIT_FULL_SWEEP=1 to run")
 def test_criterion_8_exhaustive_full(tmp_path):
     hists = enumerate_n4_discrete(0.01, [1.001, 1.01, 1.1], cap=3.5,

@@ -2,10 +2,13 @@
 
 ``squaring_scan`` is the audit as it was before the chord kernel: every
 perturbed matrix is copied and re-solved from scratch by ``perron_batch``.
-It stays here as the reference that ``bulk.violation_flags`` is compared to.
+It stays here as the reference that ``bulk.violation_flags`` is compared to,
+and, with ``full``, the reference for the no-early-exit scan behind
+``check_monotonicity``.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -18,31 +21,40 @@ from pcmaudit.generate import generate_batch
 FACTORS = (1.001, 1.01, 1.1)
 
 
-def squaring_scan(mats, w0, factor, margin, rtol=bulk.RESIDUAL_RTOL):
-    """Reference audit: one explicit copy and squaring solve per entry."""
+def squaring_scan(mats, w0, factor, margin, rtol=bulk.RESIDUAL_RTOL, full=False):
+    """Reference audit: one explicit copy and squaring solve per entry.
+
+    With ``full`` no matrix leaves the scan at a flag or a failed solve, and
+    the perturbed weights (E, B, n), ``ok`` (E, B) and drop bits (E, B, n) of
+    every upper entry e, in row-major order, are returned instead.
+    """
     b, n, _ = mats.shape
+    entries = list(itertools.combinations(range(n), 2))
     violated = np.zeros(b, dtype=bool)
     ok = np.ones(b, dtype=bool)
     first = np.zeros((b, 3), dtype=np.int64)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            active = np.flatnonzero(~violated & ok)
-            pert = mats[active].copy()
-            pert[:, i, j] *= factor
-            pert[:, j, i] /= factor
-            _, w1, _, ok1 = bulk.perron_batch(pert, rtol=rtol)
-            ok[active[~ok1]] = False
-            active, w1 = active[ok1], w1[ok1]
-            r0 = w0[active, i, None] / w0[active]
-            r1 = w1[:, i, None] / w1
-            worse = r1 < r0 * (1.0 - margin)
-            worse[:, i] = False
-            hit = np.any(worse, axis=1)
-            rows = active[hit]
-            violated[rows] = True
-            first[rows, :2] = i + 1, j + 1
-            first[rows, 2] = np.argmax(worse[hit], axis=1) + 1
-    return violated, ok, first
+    scan = (np.empty((len(entries), b, n)), np.zeros((len(entries), b), dtype=bool),
+            np.zeros((len(entries), b, n), dtype=bool))
+    for e, (i, j) in enumerate(entries):
+        active = np.arange(b) if full else np.flatnonzero(~violated & ok)
+        pert = mats[active].copy()
+        pert[:, i, j] *= factor
+        pert[:, j, i] /= factor
+        _, w1, _, ok1 = bulk.perron_batch(pert, rtol=rtol)
+        scan[0][e, active], scan[1][e, active] = w1, ok1
+        ok[active[~ok1]] = False
+        active, w1 = active[ok1], w1[ok1]
+        r0 = w0[active, i, None] / w0[active]
+        r1 = w1[:, i, None] / w1
+        worse = r1 < r0 * (1.0 - margin)
+        worse[:, i] = False
+        scan[2][e, active] = worse
+        hit = np.any(worse, axis=1)
+        rows = active[hit]
+        violated[rows] = True
+        first[rows, :2] = i + 1, j + 1
+        first[rows, 2] = np.argmax(worse[hit], axis=1) + 1
+    return scan if full else (violated, ok, first)
 
 
 def _population(n, scale, count=2048):
@@ -86,6 +98,26 @@ def test_one_call_over_all_factors_matches_squaring(n, scale):
     assert got[2].shape == (3, len(mats), 3)
     for f, factor in enumerate(FACTORS):
         _assert_same(_one(got, f), _reference(n, scale, factor))
+
+
+@pytest.mark.parametrize("scale", ["discrete", "continuous"])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_full_scan_matches_squaring_bit_for_bit(n, scale):
+    # every entry of every matrix at every factor, with no early exit: the
+    # scalar audit's path, on a block small enough to skip the chord steps
+    mats, w0 = _population(n, scale, bulk.CHORD_MIN_ROWS - 1)
+    b = len(mats)
+    w1, ok, drops = bulk._audit_block(
+        mats, w0, np.array(FACTORS), 1.0 - 1e-9, True, bulk.RESIDUAL_RTOL, full=True)
+    assert ok.all()
+    for f, factor in enumerate(FACTORS):
+        cols = slice(f * b, (f + 1) * b)
+        for name, got, want in zip(("w1", "ok", "drops"), (w1[:, cols], ok[:, cols], drops[:, cols]),
+                                   squaring_scan(mats, w0, factor, 1e-9, full=True)):
+            np.testing.assert_array_equal(got, want, err_msg=f"{name} at {factor}")
+        # the early-exit scan flags exactly the matrices with some drop
+        violated = _one(bulk.violation_flags(mats, w0, (factor,), 1e-9))[0]
+        np.testing.assert_array_equal(drops[:, cols].any(axis=(0, 2)), violated)
 
 
 # the dip at entry (1, 3) is narrow: a 10% step jumps over it

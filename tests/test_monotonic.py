@@ -73,8 +73,10 @@ def test_3x3_eigenvector_monotonic_in_bulk():
         assert not np.any(violated)
 
 
-def test_report_is_permutation_equivariant(kinked_matrix):
-    # swap alternatives 3 and 4: the violating triple must relabel accordingly
+def test_swapping_3_and_4_keeps_the_violating_entry_upper(kinked_matrix):
+    # swap alternatives 3 and 4: the violating entry (1, 3) becomes (1, 4),
+    # still upper, so the triple relabels accordingly. A relabelling that made
+    # it a lower entry would hide the violation, which the audit never raises.
     sigma = np.array([0, 1, 3, 2])
     entries = kinked_matrix.entries[np.ix_(sigma, sigma)]
     permuted = build_matrix(4, entries[np.triu_indices(4, 1)])
@@ -104,23 +106,34 @@ def test_rejects_bad_audit_parameters(kinked_matrix):
         check_monotonicity(kinked_matrix, method="least_squares")
     with pytest.raises(ValidationError):
         min_violation_factor_scan(kinked_matrix, [])
+    # a factor that overflows a perturbed entry is bad input, for either method
+    for factor in (float("nan"), float("inf"), 1e308):
+        for method in ("eigenvector", "row_geometric_mean"):
+            with pytest.raises(ValidationError):
+                check_monotonicity(kinked_matrix, method=method, factor=factor)
 
 
 def test_nonconvergence_names_the_perturbed_entry(kinked_matrix, monkeypatch):
-    import pcmaudit.monotonic as monomod
+    from pcmaudit import PerturbationSpec, bulk, perturb
 
-    real = monomod.method_weights
+    real = bulk.perron_batch
     calls = {"count": 0}
 
-    def flaky(a, method, **kwargs):
+    def flaky(mats, **kwargs):
         calls["count"] += 1
+        lam, w, residual, ok = real(mats, **kwargs)
         if calls["count"] == 2:  # first perturbed solve, entry (1, 2)
-            raise ConvergenceError("stalled", np.full(4, 0.25), 1.0, kwargs.get("max_iter", 0))
-        return real(a, method, **kwargs)
+            ok[:] = False
+        return lam, w, residual, ok
 
-    monkeypatch.setattr(monomod, "method_weights", flaky)
-    with pytest.raises(ConvergenceError, match=r"\(1,2\)"):
+    monkeypatch.setattr(bulk, "perron_batch", flaky)
+    with pytest.raises(ConvergenceError, match=r"\(1,2\)") as info:
         check_monotonicity(kinked_matrix, factor=1.01)
+    # the failed solve's own last iterate and residual, not placeholders
+    _, w, residual, _ = real(perturb(kinked_matrix, PerturbationSpec(1, 2, 1.01)).entries[None])
+    np.testing.assert_array_equal(info.value.last_weights, w[0])
+    assert info.value.residual == residual[0]
+    assert info.value.iterations == 2**bulk.MAX_SQUARINGS
 
 
 def test_base_matrix_nonconvergence_propagates():

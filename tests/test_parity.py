@@ -1,14 +1,18 @@
-"""Parity gate: the CSV bytes of three batch runs are pinned.
+"""Parity gate: the CSV bytes of three batch runs and the audit reports of
+the benchmark matrix files are pinned.
 
-The digests were recorded before the batch paths moved onto one audit scan,
-one chunk pipeline and one fan-out helper. A later kernel or pipeline change
-must reproduce them byte for byte, with one worker and with two.
+The CSV digests were recorded before the batch paths moved onto one audit
+scan, one chunk pipeline and one fan-out helper. A later kernel or pipeline
+change must reproduce them byte for byte, with one worker and with two.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
+from pcmaudit import min_violation_factor_scan, read_matrix_file
 from pcmaudit.cli import main
 
 RUNS = {
@@ -40,3 +44,28 @@ def test_csv_bytes_match_pinned_digests(name, tmp_path, capsys):
         got = {suffix: hashlib.sha256((tmp_path / f"w{workers}{suffix}").read_bytes()).hexdigest()
                for suffix in digests}
         assert got == digests, f"--workers {workers}"
+
+
+# The audit reports of every benchmark matrix file at three factors, as
+# `pcmaudit audit --factors 1.001,1.01,1.1 --json` writes them under
+# "reports", one JSON line per file in name order. The digests were recorded
+# while the scalar audit still ran its own per-entry loop; the ratio floats
+# must match them bit for bit.
+MATRICES = Path(__file__).resolve().parents[1] / "benchmarks" / "matrices"
+AUDIT_FACTORS = (1.001, 1.01, 1.1)
+AUDIT_DIGESTS = {
+    "em": "7e546e09258205a85decc852c2128dbc1c8bda7ef7a9cb9ec1346b38cee45722",
+    "rgm": "2119c0c09b153c5f2c817f6db544632fe3553e36775e3da80a008574ee7574ac",
+}
+
+
+@pytest.mark.parametrize("method", AUDIT_DIGESTS)
+def test_audit_reports_match_pinned_digests(method):
+    lines = []
+    for path in sorted(MATRICES.glob("*.txt")):
+        reports = min_violation_factor_scan(read_matrix_file(path), AUDIT_FACTORS, method=method)
+        doc = {repr(f): reports[f].to_dict() for f in AUDIT_FACTORS}
+        lines.append(f"{path.name} {json.dumps(doc)}\n")
+    assert len(lines) == 25
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == AUDIT_DIGESTS[method]

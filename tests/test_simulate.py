@@ -19,10 +19,11 @@ from pcmaudit.simulate import MinCrExample, _min_example, histogram_csv_lines
 def test_bin_assignment_and_tie_rule():
     hist = CrHistogram(beta=0.1)
     cr = np.array([0.0, 0.05, 0.09999, 0.1, 0.1 + 5e-13, 0.1 - 5e-13, 0.249, 0.35])
-    m, ties = hist.assign_bins(cr)
+    hist.record_array(cr, np.ones(cr.size, dtype=bool), np.zeros(cr.size, dtype=bool))
     # values within 1e-12 of a boundary drop into the lower bin
-    assert list(m) == [0, 0, 0, 0, 0, 0, 2, 3]
-    assert ties == 3  # 0.1 exactly and both 5e-13 offsets
+    assert [hist.bin_counts(lo) for lo in (0.0, 0.1, 0.2, 0.3)] == [(6, 0), (0, 0), (1, 0), (1, 0)]
+    assert sorted(hist.bins) == [0, 2, 3]
+    assert hist.boundary_ties == 3  # 0.1 exactly and both 5e-13 offsets
 
 
 def test_record_and_counts():
