@@ -76,6 +76,8 @@ audit in :mod:`pcmaudit.monotonic`, reports every violating (i, j, k), so the
 scan has a full mode with no early exit: it returns the perturbed weights,
 ``ok`` and drop bits over k of every (factor, matrix, upper entry). There the
 block is one matrix, so each entry takes one :func:`perron_batch` call.
+Every audit and entry point checks its factors and margin with
+:func:`audit_factors`, the one rule for both.
 """
 
 from __future__ import annotations
@@ -175,6 +177,23 @@ def rgm_batch(mats: np.ndarray) -> np.ndarray:
     return g / g.sum(axis=1, keepdims=True)
 
 
+def audit_factors(factors, margin: float) -> tuple[float, ...]:
+    """The factors as floats, once they form a non-empty sequence of distinct,
+    finite values > 1 and ``margin`` lies in [0, 1): a positive ratio cannot
+    drop by 100% or more, so a larger margin could never flag."""
+    f = np.asarray(factors, dtype=float)
+    if f.ndim != 1 or f.size == 0:
+        raise ValidationError(f"audit factors must be a non-empty sequence, got {factors!r}")
+    bad = f[~((f > 1.0) & (f < np.inf))]
+    if bad.size:
+        raise ValidationError(f"audit factor must be finite and exceed 1, got {bad[0]}")
+    if len(set(f.tolist())) != f.size:  # np.unique imports numpy.ma: +1.6 MB RSS
+        raise ValidationError("audit factors must be distinct")
+    if not 0.0 <= margin < 1.0:
+        raise ValidationError(f"margin must be in [0, 1), got {margin}")
+    return tuple(f.tolist())
+
+
 def violation_flags(
     mats: np.ndarray,
     w0: np.ndarray,
@@ -200,9 +219,7 @@ def violation_flags(
     """
     mats = np.asarray(mats, dtype=float)
     w0 = np.asarray(w0, dtype=float)
-    factors = np.array(factors, dtype=float)
-    if factors.ndim != 1 or factors.size == 0:
-        raise ValidationError(f"factors must be a non-empty sequence, got {factors!r}")
+    factors = np.array(audit_factors(factors, margin))
     use_eigen = canonical_method(method) == "eigenvector"
     f, b = factors.size, mats.shape[0]
     violated = np.zeros((f, b), dtype=bool)

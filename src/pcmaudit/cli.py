@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from . import __version__
 from .consistency import (
     ACCEPTABILITY_THRESHOLD,
-    consistency_ratio,
+    _ci,
+    _ratio_report,
     default_random_index_table,
     estimate_random_index,
 )
@@ -126,13 +127,13 @@ def cmd_analyze(args) -> int:
     print(f"EM weights:  {_format_weights(eigen.weights.values)}")
     print(f"RGM weights: {_format_weights(rgm.values)}")
     report_doc = None
+    print(f"CI: {_ci(matrix.n, eigen.lambda_max):.6f}")
     try:
-        report = consistency_ratio(matrix, table)
+        ri = table.lookup(matrix.n)
     except ConfigurationError as exc:
-        print(f"CI: {(eigen.lambda_max - matrix.n) / (matrix.n - 1):.6f}")
         print(f"CR: n/a ({exc})")
     else:
-        print(f"CI: {report.ci:.6f}")
+        report = _ratio_report(matrix.n, eigen.lambda_max, ri)
         print(f"RI ({args.scale}, n={matrix.n}): {report.ri}")
         print(f"CR: {report.cr:.4f}")
         print(f"acceptable (CR <= {ACCEPTABILITY_THRESHOLD}): "
@@ -159,11 +160,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_audit(args) -> int:
     matrix = read_matrix_file(args.path)
-    factors = args.factors if args.factors else [args.factor]
+    factors = args.factors if args.factors is not None else [args.factor]
     reports = min_violation_factor_scan(matrix, factors, method=args.method,
                                         margin=args.margin)
-    for factor in factors:
-        report = reports[float(factor)]
+    for factor, report in reports.items():
         if report.violations:
             for v in report.violations:
                 print(f"factor {factor:g}: VIOLATION: entry ({v.i},{v.j}), "
@@ -175,13 +175,13 @@ def cmd_audit(args) -> int:
             print(f"factor {factor:g}: WEAK VIOLATION: entry ({i},{j})")
     if args.json:
         config = {"path": str(args.path), "method": args.method,
-                  "factors": [float(f) for f in factors], "margin": args.margin}
+                  "factors": list(reports), "margin": args.margin}
         doc = {
             "schema": JSON_SCHEMA,
             "run_id": run_id_for("audit", config),
             "command": "audit",
             "config": config,
-            "reports": {repr(float(f)): reports[float(f)].to_dict() for f in factors},
+            "reports": {repr(f): report.to_dict() for f, report in reports.items()},
         }
         _write_json(args.json, doc)
     return 0

@@ -101,18 +101,22 @@ class InconsistencyReport:
     acceptable: bool
 
 
-def _lambda_and_ci(a: PairwiseComparisonMatrix) -> tuple[float, float]:
-    """lambda_max and CI; exact for n = 2, noise near zero clamped to zero."""
-    lam = 2.0 if a.n == 2 else eigenvector_method(a).lambda_max
-    ci = (lam - a.n) / (a.n - 1)
+def _lambda_max(a: PairwiseComparisonMatrix) -> float:
+    """lambda_max of a matrix, exact for n = 2."""
+    return 2.0 if a.n == 2 else eigenvector_method(a).lambda_max
+
+
+def _ci(n: int, lam: float) -> float:
+    """CI of an n x n matrix with Perron root ``lam``; noise near zero clamped to zero."""
+    ci = (lam - n) / (n - 1)
     if ci < -CI_NOISE_CLAMP:
         raise ValidationError(f"consistency index {ci} is negative beyond rounding noise")
-    return lam, max(ci, 0.0)
+    return max(ci, 0.0)
 
 
 def consistency_index(a: PairwiseComparisonMatrix) -> float:
     """CI of a matrix; exact zeros for n = 2, noise near zero clamped to zero."""
-    return _lambda_and_ci(a)[1]
+    return _ci(a.n, _lambda_max(a))
 
 
 def consistency_ratio(
@@ -123,9 +127,14 @@ def consistency_ratio(
     if table is None:
         table = default_random_index_table("discrete")
     ri = table.lookup(a.n)
-    lam, ci = _lambda_and_ci(a)
+    return _ratio_report(a.n, _lambda_max(a), ri)
+
+
+def _ratio_report(n: int, lam: float, ri: float) -> InconsistencyReport:
+    """The CI/CR report of an n x n matrix with Perron root ``lam``."""
+    ci = _ci(n, lam)
     cr = ci / ri
-    return InconsistencyReport(a.n, lam, ci, ri, cr, cr <= ACCEPTABILITY_THRESHOLD)
+    return InconsistencyReport(n, lam, ci, ri, cr, cr <= ACCEPTABILITY_THRESHOLD)
 
 
 def estimate_random_index(

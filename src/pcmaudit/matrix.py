@@ -45,29 +45,7 @@ class PairwiseComparisonMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {a.shape}")
-        n = a.shape[0]
-        if n < 2:
-            raise ValidationError(f"need at least 2 alternatives, got n={n}")
-        if not np.all(np.isfinite(a)):
-            raise ValidationError("matrix contains non-finite entries")
-        bad = np.argwhere(a <= 0)
-        if bad.size:
-            i, j = bad[0] + 1
-            raise ValidationError(f"entry ({i},{j}) must be positive, got {a[i - 1, j - 1]!r}")
-        if np.any(np.diag(a) != 1.0):
-            i = int(np.argwhere(np.diag(a) != 1.0)[0][0]) + 1
-            raise ValidationError(f"diagonal entry ({i},{i}) must be exactly 1")
-        recip = np.abs(a * a.T - 1.0)
-        if np.max(recip) > STORED_RECIPROCITY_RTOL:
-            i, j = np.argwhere(recip > STORED_RECIPROCITY_RTOL)[0] + 1
-            raise ValidationError(
-                f"reciprocity violated at ({j},{i}): a[{j},{i}]*a[{i},{j}] = "
-                f"{a[j - 1, i - 1] * a[i - 1, j - 1]!r}"
-            )
-        a = a.copy()
+        a = _checked(self.entries, 0.0, STORED_RECIPROCITY_RTOL).copy()
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -158,6 +136,15 @@ def from_array(arr, reciprocity_rtol: float = PARSE_RECIPROCITY_RTOL) -> Pairwis
     (relative), then rebuilds the stored matrix exactly from the upper
     triangle. Rejections name the offending 1-based position.
     """
+    a = _checked(arr, reciprocity_rtol, reciprocity_rtol)
+    upper = a[np.triu_indices(len(a), 1)]
+    return PairwiseComparisonMatrix(matrices_from_upper(len(a), upper[None])[0])
+
+
+def _checked(arr, diagonal_rtol: float, reciprocity_rtol: float) -> np.ndarray:
+    """``arr`` as a float array, once it is square with n >= 2 finite positive
+    entries, each a_ii within ``diagonal_rtol`` of 1 and each a_ij * a_ji within
+    ``reciprocity_rtol`` of 1. Rejections name the offending 1-based position."""
     a = np.asarray(arr, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
@@ -172,7 +159,7 @@ def from_array(arr, reciprocity_rtol: float = PARSE_RECIPROCITY_RTOL) -> Pairwis
         i, j = bad[0] + 1
         raise ValidationError(f"entry ({i},{j}) must be positive, got {a[i - 1, j - 1]!r}")
     diag_dev = np.abs(np.diag(a) - 1.0)
-    if np.max(diag_dev) > reciprocity_rtol:
+    if np.max(diag_dev) > diagonal_rtol:
         i = int(np.argmax(diag_dev)) + 1
         raise ValidationError(f"diagonal entry ({i},{i}) must be 1, got {a[i - 1, i - 1]!r}")
     dev = np.abs(a * a.T - 1.0)
@@ -184,8 +171,7 @@ def from_array(arr, reciprocity_rtol: float = PARSE_RECIPROCITY_RTOL) -> Pairwis
             f"entry ({i},{j}) is not the reciprocal of ({j},{i}): "
             f"{a[i - 1, j - 1]!r} vs 1/{a[j - 1, i - 1]!r}"
         )
-    iu = np.triu_indices(n, 1)
-    return build_matrix(n, a[iu])
+    return a
 
 
 def is_consistent(a: PairwiseComparisonMatrix, tol: float = CONSISTENCY_RTOL) -> bool:

@@ -105,22 +105,15 @@ def min_violation_factor_scan(
     Useful because a coarse factor can step right over a narrow non-monotonic
     dip that a fine factor exposes (and occasionally vice versa).
     """
-    factors = [float(f) for f in factors]
-    if not factors:
-        raise ValidationError("need at least one factor")
-    return dict(zip(factors, _audit(a, factors, method, margin)))
+    return {report.factor: report for report in _audit(a, factors, method, margin)}
 
 
 def _audit(a, factors, method, margin) -> list[MonotonicityReport]:
     """One report per factor, from one base solve and one full entry scan."""
+    factors = bulk.audit_factors(factors, margin)
     top = float(a.entries[np.triu_indices(a.n, 1)].max())
-    for factor in factors:
-        if not factor > 1.0:
-            raise ValidationError(f"audit factor must exceed 1, got {factor}")
-        if not top * factor < np.inf:  # then every a_ji / factor stays positive too
-            raise ValidationError(f"audit factor {factor} overflows a perturbed entry")
-    if margin < 0:
-        raise ValidationError(f"margin must be nonnegative, got {margin}")
+    if not top * max(factors) < np.inf:  # then every a_ji / factor stays positive too
+        raise ValidationError(f"audit factor {max(factors)} overflows a perturbed entry")
     method = canonical_method(method)
     eigen = method == "eigenvector"
     w0 = (weights.eigenvector_method(a).weights if eigen else weights.row_geometric_mean(a)).values

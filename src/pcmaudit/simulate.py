@@ -55,8 +55,8 @@ class CrHistogram:
     """Counts of total and violating matrices per consistency-ratio bin.
 
     Bin m (0-based) covers ``beta * m <= CR < beta * (m + 1)``. When ``cap``
-    is set (a positive multiple of beta), everything at or above it lands in
-    a single overflow bucket. ``bins`` maps m to ``[total, violating]``.
+    is set (a finite positive multiple of beta), everything at or above it
+    lands in a single overflow bucket. ``bins`` maps m to ``[total, violating]``.
     """
 
     beta: float
@@ -69,13 +69,13 @@ class CrHistogram:
     min_cr_example: MinCrExample | None = None
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValidationError(f"bin width must be positive, got {self.beta}")
+        if not 0 < self.beta < np.inf:
+            raise ValidationError(f"bin width must be positive and finite, got {self.beta}")
         if self.cap is not None:
             bins = self.cap / self.beta
-            if self.cap <= 0 or abs(bins - round(bins)) > 1e-9:
+            if not 0 < self.cap < np.inf or abs(bins - round(bins)) > 1e-9:
                 raise ValidationError(
-                    f"cap must be a positive multiple of the bin width, got {self.cap}")
+                    f"cap must be a finite positive multiple of the bin width, got {self.cap}")
 
     @property
     def cap_bins(self) -> int | None:
@@ -312,8 +312,7 @@ def run_simulation(
     """
     if iterations < 1:
         raise ValidationError(f"need at least one iteration, got {iterations}")
-    if factor <= 1.0:
-        raise ValidationError(f"audit factor must exceed 1, got {factor}")
+    factor, = bulk.audit_factors((factor,), margin)
     ri = default_random_index_table(config.scale).lookup(config.n)
     tasks = [(config, start, min(SUBSTREAM_CHUNK, iterations - start),
               beta, factor, cr_cap, margin, ri)

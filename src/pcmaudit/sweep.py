@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bulk import audit_factors
 from .consistency import default_random_index_table
 from .errors import ConfigurationError, ValidationError
 from .fanout import ordered_map
@@ -135,13 +136,7 @@ def enumerate_n4_discrete(
     chunk, in ordinal order. ``workers`` must be at least 1 and is capped at
     the CPU count.
     """
-    factors = tuple(float(f) for f in factors)
-    if not factors:
-        raise ValidationError("need at least one factor")
-    if any(f <= 1.0 for f in factors):
-        raise ValidationError("audit factors must exceed 1")
-    if len(set(factors)) != len(factors):
-        raise ValidationError("audit factors must be distinct")
+    factors = audit_factors(factors, margin)
     if stride < 1:
         raise ValidationError(f"stride must be at least 1, got {stride}")
 

@@ -187,6 +187,27 @@ def test_factors_must_be_a_non_empty_sequence(factors):
         bulk.violation_flags(mats, w0, factors, 1e-9)
 
 
+def test_audit_factors_returns_float_tuple():
+    assert bulk.audit_factors([1.001, np.float64(1.1)], 0.0) == (1.001, 1.1)
+    assert bulk.audit_factors(np.array([1.01]), 0.999) == (1.01,)
+
+
+@pytest.mark.parametrize("factors, margin, match", [
+    ([[1.01]], 1e-9, "non-empty"),
+    ((1.0,), 1e-9, "exceed 1"),
+    ((1.01, 0.5), 1e-9, "exceed 1"),
+    ((float("nan"),), 1e-9, "exceed 1"),
+    ((float("inf"),), 1e-9, "finite"),
+    ((1.01, 1.01), 1e-9, "distinct"),
+    ((1.01,), -1e-9, "margin"),
+    ((1.01,), 1.0, "margin"),
+    ((1.01,), float("nan"), "margin"),
+])
+def test_audit_factors_rejects(factors, margin, match):
+    with pytest.raises(ValidationError, match=match):
+        bulk.audit_factors(factors, margin)
+
+
 def test_n9_audit_at_factor_101_needs_no_fallback(monkeypatch):
     mats, w0 = _population(9, "discrete")
     fallback_rows = []

@@ -75,6 +75,21 @@ def test_analyze_wide_spread_converges(tmp_path, capsys):
     assert "lambda_max: 5849.2505991" in capsys.readouterr().out
 
 
+def test_analyze_solves_once(kinked_file, monkeypatch, capsys):
+    from pcmaudit import bulk
+
+    real = bulk.perron_batch
+    calls = []
+
+    def counting(mats, **kwargs):
+        calls.append(len(mats))
+        return real(mats, **kwargs)
+
+    monkeypatch.setattr(bulk, "perron_batch", counting)
+    assert main(["analyze", kinked_file]) == 0
+    assert calls == [1]
+
+
 def test_analyze_json_report(kinked_file, tmp_path):
     out = tmp_path / "report.json"
     assert main(["analyze", kinked_file, "--json", str(out)]) == 0
@@ -205,3 +220,35 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "pcmaudit" in capsys.readouterr().out
+
+
+SIMULATE = ["simulate", "--n", "4", "--scale", "discrete", "--seed", "1", "--iters", "10"]
+ENUMERATE = ["enumerate", "--stride", "1000000"]
+
+
+@pytest.mark.parametrize("argv", [
+    SIMULATE + ["--beta", "0.1", "--factor", "nan"],
+    SIMULATE + ["--beta", "0.1", "--factor", "inf"],
+    SIMULATE + ["--beta", "0.1", "--factor", "1.01", "--margin", "-1"],
+    SIMULATE + ["--beta", "0.1", "--factor", "1.01", "--margin", "nan"],
+    SIMULATE + ["--beta", "inf", "--factor", "1.01"],
+    SIMULATE + ["--beta", "nan", "--factor", "1.01"],
+    SIMULATE + ["--beta", "0.1", "--factor", "1.01", "--cr-cap", "nan"],
+    ENUMERATE + ["--beta", "0.1", "--factors", "nan"],
+    ENUMERATE + ["--beta", "0.1", "--factors", "1.01", "--margin", "nan"],
+    ENUMERATE + ["--beta", "0.1", "--factors", "1.01,1.01"],
+    ENUMERATE + ["--beta", "nan", "--factors", "1.01"],
+    ENUMERATE + ["--beta", "0.1", "--factors", "1.01", "--cap", "nan"],
+    ENUMERATE + ["--beta", "0.1", "--factors", "1.01", "--cap", "inf"],
+    ["audit", "KINKED", "--margin", "nan"],
+    ["audit", "KINKED", "--margin", "2"],
+    ["audit", "KINKED", "--factors", "1.01,1.01"],
+    ["audit", "KINKED", "--factors", ","],
+])
+def test_bad_parameters_exit_2(argv, kinked_file, capsys):
+    argv = [kinked_file if a == "KINKED" else a for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pcmaudit import (
     MatrixParseError,
+    PairwiseComparisonMatrix,
     PerturbationSpec,
     ValidationError,
     build_matrix,
@@ -58,6 +59,18 @@ def test_from_array_rejects_broken_reciprocity():
     a = np.array([[1.0, 2.0], [0.5001, 1.0]])
     with pytest.raises(ValidationError, match=r"\(2,1\)"):
         from_array(a)
+
+
+@pytest.mark.parametrize("check", [PairwiseComparisonMatrix, from_array])
+@pytest.mark.parametrize("entries, match", [
+    ([[1.0, np.nan], [1.0, 1.0]], r"entry \(1,2\) is not finite"),
+    ([[1.0, 2.0], [-0.5, 1.0]], r"entry \(2,1\) must be positive"),
+    ([[1.0, 2.0], [0.5, 2.0]], r"diagonal entry \(2,2\) must be 1"),
+    ([[1.0, 2.0], [0.6, 1.0]], r"entry \(2,1\) is not the reciprocal of \(1,2\)"),
+])
+def test_constructor_and_from_array_reject_alike(check, entries, match):
+    with pytest.raises(ValidationError, match=match):
+        check(np.array(entries))
 
 
 def test_from_array_accepts_rounded_reciprocals():

@@ -97,6 +97,14 @@ def test_report_serializes_to_json(kinked_matrix):
     assert doc["eigen_tol"] == RESIDUAL_RTOL
 
 
+def test_weak_violation_is_reported():
+    # raising a_45 by 1% lowers w_4 itself, by 3.5e-5 relative: a drop that
+    # the default margin reports and a margin of 1e-4 forgives
+    a = generate(GeneratorConfig(8, "discrete", 11), 1059)
+    assert check_monotonicity(a, factor=1.01).weak_violations == ((4, 5),)
+    assert check_monotonicity(a, factor=1.01, margin=1e-4).weak_violations == ()
+
+
 def test_rejects_bad_audit_parameters(kinked_matrix):
     with pytest.raises(ValidationError):
         check_monotonicity(kinked_matrix, factor=0.99)
