@@ -7,6 +7,14 @@ failed. A running minimum-CR violating example is kept with its witnessing
 (i, j, k). Work is chunked on fixed generator-substream boundaries and chunk
 results merge associatively, so a run's output is a pure function of
 (seed, iterations) regardless of worker count.
+
+Under a CR cap whose overflow bucket is not audited, most matrices need no
+base solve: a Collatz-Wielandt interval for each Perron root, after
+``bulk.SCREEN_SQUARINGS`` squarings, and the largest error a converged base
+solve may have (``_settled_over_cap``) certify that the matrix bins in
+overflow with no boundary tie, and it is counted there. A matrix so
+certified is never counted as a failure. The others take the full base
+solve as before.
 """
 
 from __future__ import annotations
@@ -26,6 +34,11 @@ from .monotonic import VIOLATION_MARGIN
 # CR values this close to a bin boundary are assigned to the lower bin and
 # counted as boundary-tie incidents.
 BIN_TIE_TOL = 1e-12
+# Rows a histogram may write: its CSV holds one row per bin from zero to the
+# cap, or, with no cap, to the highest occupied bin, and ``rows`` builds them
+# all in memory first (a peak of about 0.2 KB a row with its CSV line), so
+# 10**6 rows take about 200 MB. Bin indices this small are exact in float64.
+MAX_BINS = 10**6
 
 
 @dataclass
@@ -57,6 +70,10 @@ class CrHistogram:
     Bin m (0-based) covers ``beta * m <= CR < beta * (m + 1)``. When ``cap``
     is set (a finite positive multiple of beta), everything at or above it
     lands in a single overflow bucket. ``bins`` maps m to ``[total, violating]``.
+    ``beta`` must exceed ``2 * BIN_TIE_TOL``, so that the tie zones around
+    neighbouring boundaries do not meet. The cap may lie at most ``MAX_BINS``
+    bins above zero; with no cap, so may every recorded CR. Under a cap, CRs
+    of any size land in overflow.
     """
 
     beta: float
@@ -69,30 +86,60 @@ class CrHistogram:
     min_cr_example: MinCrExample | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.beta < np.inf:
-            raise ValidationError(f"bin width must be positive and finite, got {self.beta}")
+        if not 2 * BIN_TIE_TOL < self.beta < np.inf:
+            raise ValidationError(
+                f"bin width must be finite and exceed {2 * BIN_TIE_TOL:g}, got {self.beta}")
         if self.cap is not None:
             bins = self.cap / self.beta
-            if not 0 < self.cap < np.inf or abs(bins - round(bins)) > 1e-9:
+            if not (0 < self.cap < np.inf and bins <= MAX_BINS
+                    and abs(bins - round(bins)) <= 1e-9):
                 raise ValidationError(
-                    f"cap must be a finite positive multiple of the bin width, got {self.cap}")
+                    "cap must be a finite positive multiple of the bin width, at most "
+                    f"{MAX_BINS} bins above zero, got {self.cap}")
 
     @property
     def cap_bins(self) -> int | None:
         return None if self.cap is None else int(round(self.cap / self.beta))
 
-    def _bins_and_ties(self, cr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _float_bins(self, cr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bin of each CR, as a float with no bound, and its tie flag."""
         scaled = cr / self.beta
-        m = np.floor(scaled).astype(np.int64)
-        nearest = np.rint(scaled).astype(np.int64)
+        nearest = np.rint(scaled)
         tie = (np.abs(cr - nearest * self.beta) <= BIN_TIE_TOL) & (nearest >= 1)
-        return np.where(tie, nearest - 1, m), tie
+        return np.where(tie, nearest - 1, np.floor(scaled)), tie
+
+    def _bins_and_ties(self, cr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m, tie = self._float_bins(cr)
+        if self.cap is not None:
+            m = np.minimum(m, self.cap_bins)  # every bin from the cap up is overflow
+        elif not np.all(m < MAX_BINS):
+            raise ValidationError(
+                f"a CR of {np.max(cr)} lies more than {MAX_BINS} bins of width {self.beta} "
+                "above zero; set a cap or a wider bin")
+        return m.astype(np.int64), tie
 
     def record_array(self, cr: np.ndarray, checked: np.ndarray, violated: np.ndarray) -> None:
         """Tally a batch: every matrix counts once; violations only where checked."""
         m, tie = self._bins_and_ties(cr)
         keys, slot = np.unique(m, return_inverse=True)
         self.record_binned(keys, slot, tie, np.ones(cr.size, dtype=bool), checked & violated)
+
+    def overflow_certain(self, cr_lo: np.ndarray, cr_hi: np.ndarray) -> np.ndarray:
+        """Rows whose every CR in ``[cr_lo, cr_hi]`` bins in the overflow
+        bucket with no boundary tie.
+
+        Binning is non-decreasing in CR, and each bin ends in the tie zone
+        of its upper boundary, as CRs within ``BIN_TIE_TOL`` of a boundary
+        bin low. So when both ends of an interval fall in one bin and the
+        high end is no tie, every CR in it bins there untied: the interval
+        holds no multiple of beta to within the tolerance and, in a bin at
+        or above the cap, lies above ``cap + BIN_TIE_TOL``. The bins compared
+        are unclipped, since a boundary above the cap still makes ties.
+        """
+        with np.errstate(invalid="ignore"):  # an unbounded interval is never certain
+            lo_bin, _ = self._float_bins(cr_lo)
+            hi_bin, hi_tie = self._float_bins(cr_hi)
+        return (lo_bin >= self.cap_bins) & (lo_bin == hi_bin) & ~hi_tie
 
     def record_binned(self, keys: np.ndarray, slot: np.ndarray, tie: np.ndarray,
                       counted: np.ndarray, hit: np.ndarray) -> None:
@@ -117,6 +164,11 @@ class CrHistogram:
 
     def record_failures(self, count: int) -> None:
         self.failures += count
+        self.samples += count
+
+    def record_overflow(self, count: int) -> None:
+        """Count matrices known to bin in overflow, with no tie, unaudited."""
+        self.overflow[0] += count
         self.samples += count
 
     def offer_min_example(self, candidate: MinCrExample | None) -> None:
@@ -226,19 +278,32 @@ def audit_population(
     One base Perron solve, one binning and one audit scan serve every
     factor. Matrices whose base solve, CI or audit fails count as failures.
     With ``audit_overflow`` False the audit skips matrices binned in the
-    cap's overflow bucket; they still count toward totals. Each histogram keeps the lowest-CR violating matrix
-    with its first violating (i, j, k).
+    cap's overflow bucket; they still count toward totals. Each histogram
+    keeps the lowest-CR violating matrix with its first violating (i, j, k).
+
+    With a cap and ``audit_overflow`` False, matrices that
+    :func:`_settled_over_cap` certifies to bin in overflow with no tie are
+    counted there without a base solve, which is most of a fig4 run at
+    n = 9. The others take the base solve, so their results do not change.
+    A certified matrix is never counted as a failure, even if its base solve
+    would not have converged; no measured run had such a failure.
     """
     n = mats.shape[1]
     hists = {f: CrHistogram(beta=beta, cap=cap) for f in factors}
+    geometry = hists[factors[0]]
+    settled = 0
+    if cap is not None and not audit_overflow:
+        over = _settled_over_cap(mats, ri, geometry)
+        settled = int(np.count_nonzero(over))
+        if settled:  # a copy of mats would add ~10 MB of peak RSS at n = 9
+            mats = mats[~over]
     lam, w0, _, ok = bulk.perron_batch(mats)
     ci = (lam - n) / (n - 1)
     ok &= ci >= -CI_NOISE_CLAMP
-    cr = np.maximum(ci, 0.0) / ri
+    cr = _cr(lam, n, ri)
 
     # bin once for every factor; the histograms share their geometry
     solved = np.flatnonzero(ok)
-    geometry = hists[factors[0]]
     m, tie = geometry._bins_and_ties(cr[solved])
     keys, slot = np.unique(m, return_inverse=True)
     audit = np.ones(solved.size, dtype=bool)
@@ -256,11 +321,53 @@ def audit_population(
         hit = np.zeros(solved.size, dtype=bool)
         hit[audit_at[flags_f]] = True
         hist.record_failures(len(mats) - int(np.count_nonzero(counted)))
+        hist.record_overflow(settled)
         hist.record_binned(keys, slot, tie, counted, hit)
         if flags_f.any():
             hist.offer_min_example(_min_example(audited[flags_f], cr[idx[flags_f]],
                                                 first_f[flags_f]))
     return hists
+
+
+def _cr(lam: np.ndarray, n: int, ri: float) -> np.ndarray:
+    """CR from Perron roots; each rounded step is non-decreasing in lam."""
+    return np.maximum((lam - n) / (n - 1), 0.0) / ri
+
+
+def _settled_over_cap(mats: np.ndarray, ri: float, hist: CrHistogram) -> np.ndarray:
+    """Rows of a positive (B, n, n) stack whose base solve, if it converges,
+    must bin in ``hist``'s overflow bucket with no boundary tie.
+
+    :func:`bulk.perron_bounds` brackets each Perron root rho in [lo, hi].
+    A converged :func:`bulk.perron_batch` solve returns lam, not rho: it
+    accepts w >= 0 with sum 1 and lam once max_p |(Aw)_p - lam w_p| <= t lam,
+    t = ``RESIDUAL_RTOL``. Then, with a the least entry of A:
+
+    * (Aw)_p >= a, so lam w_p >= a - t lam;
+    * summing lam w_p <= (Aw)_p + t lam over p gives lam (1 - n t) <= the
+      largest column sum c of A;
+    * hence w_p >= a (1 - n t) / c - t =: w_min > 0;
+    * each ratio (Aw)_p / w_p is within t lam / w_min of lam, and rho lies
+      between the least and the largest ratio (Collatz-Wielandt), so
+      |lam - rho| <= t lam / w_min =: e' lam.
+
+    For e' <= 1/4, lam >= rho / (1 + e') >= lo (1 - e') and
+    lam <= rho / (1 - e') <= hi (1 + 4 e' / 3), so lam lies in
+    [lo (1 - e), hi (1 + e)] with e = 2 e'. The spare e' / 3 or more covers
+    the rounding of the residual test, of sum w and of this widening, each
+    a few ulps of lam, against e' lam >= 1e-12 lam.
+    The interval maps to CR through :func:`_cr`, as lam does in
+    :func:`audit_population`, and ``hist.overflow_certain`` applies the bin
+    rule to it.
+    """
+    n = mats.shape[1]
+    t = bulk.RESIDUAL_RTOL
+    lo, hi = bulk.perron_bounds(mats)
+    col_sums = np.einsum("bpq->bq", mats)  # several times faster than np.sum(axis=1)
+    w_min = np.min(mats, axis=(1, 2)) * (1 - n * t) / np.max(col_sums, axis=1) - t
+    e = 2 * t / np.maximum(w_min, 4 * t)
+    settled = hist.overflow_certain(_cr(lo * (1 - e), n, ri), _cr(hi * (1 + e), n, ri))
+    return settled & (w_min >= 4 * t)
 
 
 def simulate_chunk(

@@ -260,3 +260,29 @@ def test_retries_stop_at_max_squarings(monkeypatch):
     assert not ok.any()
     assert exponents == [bulk.BASE_SQUARINGS, 17, 21, bulk.MAX_SQUARINGS]
     assert max(exponents) == bulk.MAX_SQUARINGS
+
+
+@pytest.mark.parametrize("scale", ["discrete", "continuous"])
+@pytest.mark.parametrize("n", [3, 4, 6, 9])
+def test_perron_bounds_hold_the_perron_root(n, scale):
+    mpmath = pytest.importorskip("mpmath")
+    mats = generate_batch(GeneratorConfig(n, scale, 12), 0, 512)
+    lo, hi = bulk.perron_bounds(mats)
+    lam, _, _, ok = bulk.perron_batch(mats)
+    assert ok.all()
+    assert np.all(lo <= lam) and np.all(lam <= hi)
+    assert np.all(hi - lo < 0.05 * lo)
+    # the exact root of a few rows, at 40 digits
+    with mpmath.workdps(40):
+        for r in range(0, 512, 64):
+            rho = max(mpmath.re(e) for e in mpmath.eig(mpmath.matrix(mats[r].tolist()))[0])
+            assert mpmath.mpf(lo[r]) <= rho <= mpmath.mpf(hi[r])
+
+
+def test_perron_bounds_of_consistent_and_overflowing_matrices():
+    w = np.array([0.4, 0.3, 0.2, 0.1])
+    consistent = w[:, None] / w[None, :]
+    huge = build_matrix(4, [1e300, 1.0, 1.0, 1.0, 1.0, 1.0]).entries
+    lo, hi = bulk.perron_bounds(np.stack([consistent, huge]))
+    assert lo[0] <= 4.0 <= hi[0] and hi[0] - lo[0] < 1e-13
+    assert (lo[1], hi[1]) == (0.0, np.inf)

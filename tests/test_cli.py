@@ -234,10 +234,15 @@ ENUMERATE = ["enumerate", "--stride", "1000000"]
     SIMULATE + ["--beta", "inf", "--factor", "1.01"],
     SIMULATE + ["--beta", "nan", "--factor", "1.01"],
     SIMULATE + ["--beta", "0.1", "--factor", "1.01", "--cr-cap", "nan"],
+    SIMULATE + ["--beta", "1e-300", "--factor", "1.01"],
+    SIMULATE + ["--beta", "1e-310", "--factor", "1.01", "--cr-cap", "1"],
+    SIMULATE + ["--beta", "1e-9", "--factor", "1.01", "--cr-cap", "0.1"],
+    SIMULATE + ["--beta", "1e-11", "--factor", "1.01"],
     ENUMERATE + ["--beta", "0.1", "--factors", "nan"],
     ENUMERATE + ["--beta", "0.1", "--factors", "1.01", "--margin", "nan"],
     ENUMERATE + ["--beta", "0.1", "--factors", "1.01,1.01"],
     ENUMERATE + ["--beta", "nan", "--factors", "1.01"],
+    ENUMERATE + ["--beta", "1e-300", "--factors", "1.01"],
     ENUMERATE + ["--beta", "0.1", "--factors", "1.01", "--cap", "nan"],
     ENUMERATE + ["--beta", "0.1", "--factors", "1.01", "--cap", "inf"],
     ["audit", "KINKED", "--margin", "nan"],

@@ -1,4 +1,4 @@
-"""Parity gate: the CSV bytes of three batch runs and the audit reports of
+"""Parity gate: the CSV bytes of four batch runs and the audit reports of
 the benchmark matrix files are pinned.
 
 The CSV digests were recorded before the batch paths moved onto one audit
@@ -31,6 +31,12 @@ RUNS = {
         ["simulate", "--preset", "fig4", "--n", "6", "--scale", "discrete",
          "--seed", "3", "--iters", "20000"],
         {".csv": "125933699c36dce9af4fced23225838c90962a9971bc1e5e471cfaa8c55f5605"},
+    ),
+    # recorded before over-cap rows were settled by a Collatz-Wielandt screen
+    "simulate_fig4_n9": (
+        ["simulate", "--preset", "fig4", "--n", "9", "--scale", "discrete",
+         "--seed", "3", "--iters", "20000"],
+        {".csv": "8c51173ae268085415a1c097d420b3f77ac91c55f624390ddacf3661e4a62ed7"},
     ),
 }
 
