@@ -90,8 +90,90 @@ three, put it near 32-40 matrices at n = 4 (sweep ordinals), 96 at n = 6 and
 48-64 at n = 9, all on the discrete scale; ``CHORD_MIN_ROWS`` stays above
 all of them.
 
-Full scan. The entry scan ``_audit_block`` drops a column at its first flag,
-all that :func:`violation_flags` needs. Its one other caller, the scalar
+Predicted entry. In a chord block at n >= ``PREDICT_MIN_N`` whose columns
+mostly flag, the early-exit scan does not walk the upper entries in
+row-major order; it solves first, for each column, the entry predicted to
+flag it. The w-block M of the bordered inverse maps w0 to zero (the
+bordered system with right-hand side (w0, 0) is solved by (0, -1)), and
+the base residual is below the noise, so the first
+chord iterate for a raise of a_ij is w0 - d_ij w0_j M[:, i] - d_ji w0_i
+M[:, j], whatever its lam. With G[p, q] = M[p, q] / w0_p, alpha = d_ij w0_j
+and beta = d_ji w0_i, that step moves ln(w_i/w_k) by alpha (G_ki - G_ii) +
+beta (G_kj - G_ij): O(n) per (entry, k), and no solve.
+:func:`_predict_entries` picks, per column, the entry whose move is the most
+negative over k, in slabs of ``PREDICT_SLAB`` columns, which keeps its
+temporaries below those of the inverse. One chord call solves every column
+at its own entry. The columns it does not flag go to :func:`_pair_scan`,
+which solves all their other entries at once as (column, entry) pairs, at
+most ``AUDIT_BLOCK`` pairs per call. The prediction only orders the work:
+every flag still comes from a converged chord solve, or the squaring
+fallback, under the same residual test and margin, so ``violated`` and
+``ok`` are those of the row-major scan (:func:`violation_flags` states the
+failure rule, which does not depend on the order). ``first`` does change: a
+column flagged at its predicted entry gets (0, 0, 0), as its row-major first
+drop was never solved for. :func:`first_violations` is the one reader of
+``first``: it returns a flag's drop from there or, where it is zero, solves
+for it with the pair scan, which ``simulate`` does for the one matrix each
+chunk reports. At factor 1.01, over 16,384 matrices per case, the predicted
+entry flagged 99.8% (n = 5) to 100.0% (n = 9) of the violating matrices,
+against 16-17% for entry (1, 2), and the perturbed solves per matrix fell
+from 6.3-6.5 to 3.9 (n = 5), 2.6 (n = 6) and 1.06 (n = 9, discrete).
+
+What the stage adds is the prediction, one solve per column that its
+entry does not flag, and a pair scan over those columns with no early exit
+and one entry per solve, which indexes more per step than a shared entry.
+So the gain tracks the share of columns that flag, not n: where few flag,
+as among the under-cap matrices that a fig4 run audits, the stage costs.
+:func:`_mostly_flagged` estimates that share, before any solve, as the
+share of a sample of about ``PREDICT_SAMPLE`` columns whose least first-order
+move lies below the drop test's threshold; on every population below it was
+within 0.01 of the share the solves flagged. The stage runs where the
+estimate is at least ``PREDICT_MIN_SHARE``. Timing ``violation_flags`` with
+the row-major scan, with the stage forced and as gated, alternately (10
+rounds, 2 vCPUs, numpy 2.4.6; 16,384 matrices in blocks of 4096 at factor
+1.01, their under-cap rows for fig4, and eight stride-299 sweep chunks of
+about 440 matrices at three factors):
+
+    ===============================  =====  =====  =========  ========  ======
+    population                       rows   flag   row-major  forced    gated
+    ===============================  =====  =====  =========  ========  ======
+    n = 4 sweep chunks, 3 factors    3508   0.18   50 ms      1.17      row
+    fig2 n = 4 discrete              16384  0.32   58 ms      1.12      row
+    fig2 n = 4 continuous            16384  0.33   61 ms      1.16      row
+    fig2 n = 5 discrete              16384  0.68   82 ms      0.87      0.87
+    fig2 n = 5 continuous            16384  0.70   81 ms      0.85      0.87
+    fig2 n = 6 discrete              16384  0.89   105 ms     0.70      0.71
+    fig2 n = 6 continuous            16384  0.90   99 ms      0.69      0.69
+    fig2 n = 9 discrete              16384  1.00   251 ms     0.68      0.60
+    fig2 n = 9 continuous            16384  1.00   181 ms     0.70      0.60
+    fig4 n = 5 discrete              1844   0.04   13 ms      1.30      row
+    fig4 n = 5 continuous            1889   0.05   12 ms      1.21      row
+    fig4 n = 6 discrete              649    0.16   8.4 ms     1.06      row
+    fig4 n = 6 continuous            701    0.21   9.8 ms     0.96      row
+    fig4 n = 7 discrete              159    0.33   6.2 ms     0.53      0.53
+    fig4 n = 7 continuous            169    0.39   6.3 ms     0.51      0.50
+    ===============================  =====  =====  =========  ========  ======
+
+The forced and gated columns are time ratios to the row-major scan. "row"
+means the gate (at n = 4, ``PREDICT_MIN_N``) kept the row-major scan; those
+runs read 0.99-1.07 of the row-major time, the gate's sample included.
+Where the gate passes, forced and gated run the same code, and their
+ratios differ by up to 0.1, the spread of these timings. Blocks of fig2
+matrices drawn to a set share of flagging columns (n = 5 and 6, discrete)
+put the crossover at a share of 0.15-0.25 for blocks of 600 columns and
+0.35-0.5 for 1500 and 4096: the fewer the columns, the more the row-major
+scan's one call per entry costs. A share of 0.25 keeps every fig4
+population at n <= 6 on the row-major scan, where the stage read 0.96-1.30
+of its time, and sends fig4 at n = 7, where it halves that time, to the
+stage; blocks of 1500 columns and more at a share of 0.25-0.35 pay up to
+about 10% for that. n <= 4, which is the sweep, keeps the row-major scan at
+any share: with six upper entries the stage did not pay even where a third
+of the columns flag (fig2 at n = 4). So do blocks under ``CHORD_MIN_ROWS``
+(a fig4 run at n >= 8 audits only a few under-cap matrices per chunk) and
+the full scan below.
+
+Full scan. The early-exit scan drops a column at its first flag, all that
+:func:`violation_flags` needs. Its one other caller, the scalar
 audit in :mod:`pcmaudit.monotonic`, reports every violating (i, j, k), so the
 scan has a full mode with no early exit: it returns the perturbed weights,
 ``ok`` and drop bits over k of every (factor, matrix, upper entry). There the
@@ -117,14 +199,23 @@ SCREEN_SQUARINGS = 4
 RESIDUAL_RTOL = 1e-12
 # Chord steps per perturbed solve before falling back to squaring.
 CHORD_STEPS = 12
-# Matrices per audit block (each brings one column per factor); bounds the
-# chord kernel's working set.
+# Matrices per audit block (each brings one column per factor) and per block
+# of the base solve's squarings; bounds the working sets of both.
 AUDIT_BLOCK = 4096
 # Blocks with fewer matrices are audited by squaring alone: below about 40
 # (n = 4) to 96 (n = 6) matrices, whether audited at one factor or three, the
 # chord steps' fixed cost per call exceeds that of the squaring solves they
 # replace.
 CHORD_MIN_ROWS = 128
+# Chord blocks of matrices this size and up solve each column's predicted
+# entry first, where a sample of about PREDICT_SAMPLE of their columns
+# estimates that at least PREDICT_MIN_SHARE of them flag; see the module
+# docstring.
+PREDICT_MIN_N = 5
+PREDICT_SAMPLE = 256
+PREDICT_MIN_SHARE = 0.25
+# Columns per slab of the entry prediction; bounds its temporaries.
+PREDICT_SLAB = 1024
 
 
 # Accepted spellings of each weighting method, mapped to its canonical name.
@@ -146,7 +237,16 @@ def canonical_method(method: str) -> str:
 
 
 def _power_weights(mats: np.ndarray, squarings: int) -> np.ndarray:
-    """Row sums of mats**(2**squarings), normalized to sum 1 per matrix."""
+    """Row sums of mats**(2**squarings), normalized to sum 1 per matrix.
+
+    The matrices are squared ``AUDIT_BLOCK`` at a time: each squaring holds
+    two powers of the block, which at n = 9 and 16,384 matrices would be
+    21 MB on top of the input, and every matrix's arithmetic is the same in
+    any block.
+    """
+    if len(mats) > AUDIT_BLOCK:
+        return np.concatenate([_power_weights(mats[lo:lo + AUDIT_BLOCK], squarings)
+                               for lo in range(0, len(mats), AUDIT_BLOCK)])
     p = mats.copy()
     for _ in range(squarings):
         p = p @ p
@@ -253,16 +353,19 @@ def violation_flags(
 
     For every factor f in ``factors`` and every upper-triangle entry (i, j)
     of each matrix, the entry is multiplied by f (mirror divided), weights
-    are recomputed with ``method``, and the matrix is flagged at f as soon as
-    some ratio w_i/w_k drops by more than ``margin`` relative to its
-    unperturbed value. ``w0`` holds the unperturbed weights, for the
-    eigenvector method the Perron vectors of ``mats``. Entries are scanned
-    in row-major order and a matrix flagged at f is not scanned further at f,
-    which cannot change the flag. Returns ``(violated, ok, first)``, indexed
-    by factor first: ``violated`` and ``ok`` are booleans of shape (F, B),
-    ``ok`` False where some required eigen solve failed to converge;
-    ``first`` (F, B, 3) holds the 1-based (i, j, k) of each flag's first
-    drop (smallest k at the flagging entry) and zeros elsewhere.
+    are recomputed with ``method``, and the matrix is flagged at f when some
+    ratio w_i/w_k drops by more than ``margin`` relative to its unperturbed
+    value. ``w0`` holds the unperturbed weights, for the eigenvector method
+    the Perron vectors of ``mats``. A matrix is flagged at f when any
+    converged perturbed solve flags it; it is a failure at f only when none
+    does and some solve did not converge. That rule does not depend on the
+    order in which entries are solved, and a matrix flagged at f is not
+    solved further at f. Returns ``(violated, ok, first)``, indexed by
+    factor first: ``violated`` and ``ok`` are booleans of shape (F, B),
+    ``ok`` False for failures; ``first`` (F, B, 3) is what
+    :func:`first_violations` reads each flag's witness from, the 1-based
+    (i, j, k) of its row-major first drop (first flagging entry, smallest k
+    at it); read it through that function.
     """
     mats = np.asarray(mats, dtype=float)
     w0 = np.asarray(w0, dtype=float)
@@ -281,32 +384,62 @@ def violation_flags(
     return violated, ok, first
 
 
-def _audit_block(mats, w0, factors, thresh, use_eigen, rtol, full=False):
-    """The row-major entry scan over one block; column c is matrix c % B at
-    factor ``factors[c // B]``.
+def first_violations(mats: np.ndarray, w0: np.ndarray, first: np.ndarray, rows,
+                     factor: float, margin: float) -> np.ndarray:
+    """The row-major first drop (i, j, k), 1-based, of each flagged matrix
+    at the integer positions ``rows``, given the (B, 3) ``first`` that
+    :func:`violation_flags` returned for ``mats`` at ``factor``.
 
-    By default a column leaves the scan at its first flag or failed solve,
-    and the flat (F*B,) ``violated`` and ``ok`` and (F*B, 3) ``first`` of
-    :func:`violation_flags` are returned. With ``full`` no column leaves, and
-    per upper entry e (row-major) and column come the perturbed weights
-    ``w1`` (E, F*B, n), the solves' ``ok`` (E, F*B) and the ``drops``
-    (E, F*B, n) over k. A failed solve leaves its last iterate, and no drops.
+    A flag from the row-major scan carries its drop in ``first``. A flag
+    from a predicted entry left zeros there, and the drop is solved for:
+    every upper entry of each such matrix goes through the chord steps, as
+    (matrix, entry) pairs in one scan, under the audit's residual test and
+    drop test.
+    """
+    rows = np.asarray(rows)
+    got = first[rows]
+    left = np.flatnonzero(~got.any(axis=1))
+    if left.size:
+        at = rows[left]
+        w0 = np.asarray(w0, dtype=float)[at]
+        chord = _ChordSolver(np.asarray(mats, dtype=float)[at], w0,
+                             np.array(audit_factors((factor,), margin)))
+        got[left] = _pair_scan(chord, w0, np.arange(at.size), 1.0 - margin, RESIDUAL_RTOL)[2]
+    return got
+
+
+def _audit_block(mats, w0, factors, thresh, use_eigen, rtol, full=False):
+    """The entry scan over one block; column c is matrix c % B at factor
+    ``factors[c // B]``.
+
+    By default a column leaves the scan at its first flag, and the flat
+    (F*B,) ``violated`` and ``ok`` and (F*B, 3) ``first`` of
+    :func:`violation_flags` are returned. Chord blocks at n >=
+    ``PREDICT_MIN_N`` whose columns mostly flag (:func:`_mostly_flagged`)
+    solve each column's predicted entry first (:func:`_predicted_scan`); the
+    others scan the entries in row-major order. With ``full`` no column
+    leaves, and per upper entry e (row-major) and column come the perturbed
+    weights ``w1`` (E, F*B, n), the solves' ``ok`` (E, F*B) and the
+    ``drops`` (E, F*B, n) over k. A failed solve leaves its last iterate, and
+    no drops.
     """
     b, n, _ = mats.shape
-    entries = list(itertools.combinations(range(n), 2))
     col_mat = np.tile(np.arange(b), factors.size)
+    chord = _ChordSolver(mats, w0, factors) if use_eigen and b >= CHORD_MIN_ROWS else None
+    w0 = w0[col_mat]
+    if chord is not None and n >= PREDICT_MIN_N and not full and _mostly_flagged(chord, thresh):
+        return _predicted_scan(chord, w0, thresh, rtol)
+    entries = list(itertools.combinations(range(n), 2))
     col_fac = np.repeat(factors, b)
     violated = np.zeros(col_mat.size, dtype=bool)
-    ok = np.ones(col_mat.size, dtype=bool)
+    failed = np.zeros(col_mat.size, dtype=bool)
     first = np.zeros((col_mat.size, 3), dtype=np.int64)
     if full:
         shape = (len(entries), col_mat.size)
         scan = np.empty(shape + (n,)), np.zeros(shape, bool), np.zeros(shape + (n,), bool)
-    chord = _ChordSolver(mats, w0, factors) if use_eigen and b >= CHORD_MIN_ROWS else None
-    w0 = w0[col_mat]
     for e, (i, j) in enumerate(entries):
-        # only the early-exit scan ever clears a column's `ok` or sets `violated`
-        active = np.flatnonzero(~violated & ok)
+        # only the early-exit scan ever sets `violated`
+        active = np.flatnonzero(~violated)
         if active.size == 0:
             break
         if not use_eigen:
@@ -320,12 +453,9 @@ def _audit_block(mats, w0, factors, thresh, use_eigen, rtol, full=False):
         if full:
             scan[0][e], scan[1][e] = w1, ok1
         else:
-            ok[active[~ok1]] = False
+            failed[active[~ok1]] = True
         active, w1 = active[ok1], w1[ok1]
-        r0 = w0[active, i, None] / w0[active]  # (R, n): w_i/w_k before
-        r1 = w1[:, i, None] / w1  # after
-        worse = r1 < r0 * thresh
-        worse[:, i] = False  # k = i is identically 1
+        worse = _drops(w0[active], w1, i, thresh)
         if full:
             scan[2][e, active] = worse
             continue
@@ -334,16 +464,126 @@ def _audit_block(mats, w0, factors, thresh, use_eigen, rtol, full=False):
         violated[rows] = True
         first[rows, :2] = i + 1, j + 1
         first[rows, 2] = np.argmax(worse[hit], axis=1) + 1
-    return scan if full else (violated, ok, first)
+    return scan if full else (violated, violated | ~failed, first)
 
 
-def _perturbed(mats: np.ndarray, rows: np.ndarray, i: int, j: int,
-               factor) -> np.ndarray:
+def _drops(w0: np.ndarray, w1: np.ndarray, i, thresh: float) -> np.ndarray:
+    """Bits (R, n) over k of w1_i/w1_k < thresh * w0_i/w0_k, for rows of
+    weights before (``w0``) and after (``w1``) raising an entry of row ``i``,
+    shared or one per row; k = i, identically 1, never drops."""
+    at = np.arange(len(w1)) if isinstance(i, np.ndarray) else slice(None)
+    worse = w1[at, i, None] / w1 < w0[at, i, None] / w0 * thresh
+    worse[at, i] = False
+    return worse
+
+
+def _predicted_scan(chord, w0, thresh, rtol):
+    """The early-exit scan of a chord block, predicted entry first.
+
+    One chord call solves each column at the entry :func:`_predict_entries`
+    names. The columns it does not flag go to :func:`_pair_scan`, which
+    solves their other entries at once. Returns ``(violated, ok, first)`` as
+    :func:`_audit_block` does, ``first`` zero where the predicted entry
+    flagged.
+    """
+    n = w0.shape[1]
+    iu, ju = np.triu_indices(n, 1)
+    cols = chord.cols
+    pick = _predict_entries(chord)
+    w1, ok = chord.solve(cols, iu[pick], ju[pick], rtol)
+    violated = np.zeros(cols.size, dtype=bool)
+    violated[ok] = np.any(_drops(w0[ok], w1[ok], iu[pick[ok]], thresh), axis=1)
+    first = np.zeros((cols.size, 3), dtype=np.int64)
+    rest = np.flatnonzero(~violated)
+    if rest.size:
+        chord.hold(rest)
+        violated[rest], failed, first[rest] = _pair_scan(chord, w0, rest, thresh, rtol,
+                                                         skip=pick[rest])
+        ok[rest] &= ~failed
+    return violated, violated | ok, first
+
+
+def _pair_scan(chord, w0, cols, thresh, rtol, skip=None):
+    """Solve every upper entry of each of the sorted held columns ``cols``
+    as (column, entry) pairs, at most ``AUDIT_BLOCK`` pairs per chord call;
+    ``skip`` names one entry per column to leave out.
+
+    ``w0`` holds the unperturbed weights of every column. Returns, per
+    column, whether some converged solve flagged it, whether some solve
+    failed, and the 1-based (i, j, k) of its row-major first drop, zeros
+    where none.
+    """
+    n = w0.shape[1]
+    iu, ju = np.triu_indices(n, 1)
+    pair_col = np.repeat(np.arange(cols.size), iu.size)
+    pair_e = np.tile(np.arange(iu.size), cols.size)
+    if skip is not None:
+        keep = pair_e != skip[pair_col]
+        pair_col, pair_e = pair_col[keep], pair_e[keep]
+    hit = np.zeros((cols.size, iu.size), dtype=bool)
+    k_hit = np.zeros((cols.size, iu.size), dtype=np.int64)
+    failed = np.zeros(cols.size, dtype=bool)
+    for lo in range(0, pair_col.size, AUDIT_BLOCK):
+        c, e = pair_col[lo:lo + AUDIT_BLOCK], pair_e[lo:lo + AUDIT_BLOCK]
+        w1, ok1 = chord.solve(cols[c], iu[e], ju[e], rtol)
+        failed[c[~ok1]] = True
+        c, e = c[ok1], e[ok1]
+        worse = _drops(w0[cols[c]], w1[ok1], iu[e], thresh)
+        flag = np.any(worse, axis=1)
+        hit[c[flag], e[flag]] = True
+        k_hit[c[flag], e[flag]] = np.argmax(worse[flag], axis=1)
+    violated = np.any(hit, axis=1)
+    first = np.zeros((cols.size, 3), dtype=np.int64)
+    rows = np.flatnonzero(violated)
+    e = np.argmax(hit[rows], axis=1)  # the row-major first flagging entry
+    first[rows] = np.stack([iu[e], ju[e], k_hit[rows, e]], axis=1) + 1
+    return violated, failed, first
+
+
+def _mostly_flagged(chord, thresh: float) -> bool:
+    """Whether at least ``PREDICT_MIN_SHARE`` of a sample of about
+    ``PREDICT_SAMPLE`` held columns, evenly spaced, have some first-order
+    move below the drop test's threshold."""
+    step = max(1, chord.cols.size // PREDICT_SAMPLE)
+    low = np.min(_first_moves(chord, slice(0, None, step)), axis=0)
+    return np.mean(low < np.log(thresh)) >= PREDICT_MIN_SHARE
+
+
+def _predict_entries(chord) -> np.ndarray:
+    """Per held column, the row-major index of the upper entry whose first
+    chord iterate lowers some ln(w_i/w_k) the most (module docstring), in
+    slabs of ``PREDICT_SLAB`` columns."""
+    pick = np.empty(chord.cols.size, dtype=np.intp)
+    for lo in range(0, pick.size, PREDICT_SLAB):
+        cols = slice(lo, lo + PREDICT_SLAB)
+        pick[cols] = np.argmin(_first_moves(chord, cols), axis=0)
+    return pick
+
+
+def _first_moves(chord, cols: slice) -> np.ndarray:
+    """(E, C): per upper entry (row-major) and held column in ``cols``, the
+    least move over k of ln(w_i/w_k) under the first chord iterate."""
+    n = len(chord.w0)
+    iu, ju = np.triu_indices(n, 1)
+    a, w, fac = chord.mats_t[..., cols], chord.w0[:, cols], chord.fac[cols]
+    g = chord.inv_t[..., cols] / w[:, None]  # G[p, q] = M[p, q] / w0_p
+    alpha = a[iu, ju] * (fac - 1.0) * w[ju]
+    beta = a[ju, iu] * (1.0 / fac - 1.0) * w[iu]
+    # ln(w_i/w_k) moves by (alpha G_ki + beta G_kj) - (alpha G_ii + beta G_ij)
+    at_i = alpha * g[iu, iu] + beta * g[iu, ju]
+    low = at_i
+    for k in range(n):
+        low = np.minimum(low, alpha * g[k, iu] + beta * g[k, ju])
+    return low - at_i
+
+
+def _perturbed(mats: np.ndarray, rows: np.ndarray, i, j, factor) -> np.ndarray:
     """Copies of ``mats[rows]`` with a_ij multiplied and a_ji divided by
-    ``factor``, a scalar or one value per row."""
+    ``factor``; ``i``, ``j`` and ``factor`` are each shared or one per row."""
     pert = mats[rows]
-    pert[:, i, j] *= factor
-    pert[:, j, i] /= factor
+    at = np.arange(len(rows)) if isinstance(i, np.ndarray) else slice(None)
+    pert[at, i, j] *= factor
+    pert[at, j, i] /= factor
     return pert
 
 
@@ -352,14 +592,29 @@ def _matvec(mats_t: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("pqb,qb->pb", mats_t, vecs)
 
 
-def _perturbed_residual(aw, w, i, j, d_ij, d_ji) -> tuple[np.ndarray, np.ndarray]:
+def _flat_rows(i: np.ndarray, j: np.ndarray, size: int):
+    """Where row ``i[c]`` and row ``j[c]`` of each column c lie in a
+    flattened (m, size) array."""
+    at = np.arange(size)
+    return i * size + at, j * size + at
+
+
+def _perturbed_residual(aw, w, ri, rj, d_ij, d_ji) -> tuple[np.ndarray, np.ndarray]:
     """``(A'w - lam w, lam)`` from ``aw`` = A w, which becomes A'w in place.
 
-    A' adds ``d_ij`` to a_ij and ``d_ji`` to a_ji; lam is the mean ratio
-    (A'w)_p / w_p, as in :func:`perron_batch`.
+    A' adds ``d_ij`` to a_ij and ``d_ji`` to a_ji. ``ri`` and ``rj`` are
+    rows i and j, shared by every column, or, for one entry per column,
+    their :func:`_flat_rows` positions: ``aw`` and ``w`` are C-contiguous
+    (m, R) arrays, and their flat views index faster than (row, column)
+    pairs. lam is the mean ratio (A'w)_p / w_p, as in :func:`perron_batch`.
     """
-    aw[i] += d_ij * w[j]
-    aw[j] += d_ji * w[i]
+    if isinstance(ri, np.ndarray):
+        flat, w_flat = aw.reshape(-1), w.reshape(-1)
+        flat[ri] += d_ij * w_flat[rj]
+        flat[rj] += d_ji * w_flat[ri]
+    else:
+        aw[ri] += d_ij * w[rj]
+        aw[rj] += d_ji * w[ri]
     lam = np.add.reduce(aw / w, axis=0) / len(w)
     return aw - lam * w, lam
 
@@ -397,37 +652,49 @@ class _ChordSolver:
             x if factors.size == 1 else np.tile(x, factors.size)
             for x in (mats_t, w0_t, aw0, inv_t))
 
-    def _hold(self, cols: np.ndarray) -> None:
-        """Drop held columns not in ``cols``, a sorted subset of them."""
-        if cols.size == self.cols.size:
-            return
+    def _take(self, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The held fac, mats_t, w0, aw0 and inv_t at ``cols``, a sorted run
+        of held columns in which a column may repeat."""
+        held = self.fac, self.mats_t, self.w0, self.aw0, self.inv_t
+        if np.array_equal(cols, self.cols):
+            return held
         pos = np.searchsorted(self.cols, cols)
-        self.cols = cols
-        self.fac, self.mats_t, self.w0, self.aw0, self.inv_t = (
-            np.take(x, pos, axis=-1)
-            for x in (self.fac, self.mats_t, self.w0, self.aw0, self.inv_t))
+        return tuple(np.take(x, pos, axis=-1) for x in held)
 
-    def solve(self, cols: np.ndarray, i: int, j: int,
+    def hold(self, cols: np.ndarray) -> None:
+        """Drop held columns not in ``cols``, a sorted subset of them."""
+        self.fac, self.mats_t, self.w0, self.aw0, self.inv_t = self._take(cols)
+        self.cols = cols
+
+    def solve(self, cols: np.ndarray, i, j,
               rtol: float) -> tuple[np.ndarray, np.ndarray]:
         """Perron vectors (C, n) of the given columns' matrices with a_ij
         scaled by the column's factor and a_ji by its reciprocal, and their
         ``ok`` flags.
 
-        ``cols`` must be a sorted subset of the columns of the previous call.
+        ``cols`` is a sorted subset of the held columns. With one entry
+        (``i``, ``j``) for all, it becomes the held set, as the row-major
+        scan narrows it. With ``i`` and ``j`` one per solve, a column may
+        repeat, once per entry, and the held set stays.
         Each chord step is w -= M (A'w - lam w), with M the held inverse
         block and lam the mean ratio (A'w)_p / w_p. An iterate is accepted
         under :func:`perron_batch`'s residual test, and only while positive;
-        a column's first accepted iterate is its result. Accepted columns
+        a solve's first accepted iterate is its result. Accepted solves
         keep stepping, unread, until at least half of the working set is
-        accepted; only then is the working set compacted. Columns not
-        accepted within ``CHORD_STEPS`` steps are solved by
+        accepted; only then is the working set compacted. Solves not
+        accepted within ``CHORD_STEPS`` steps fall back to
         :func:`perron_batch` on an explicit perturbed copy.
         """
-        self._hold(cols)
-        a, inv, w, fac = self.mats_t, self.inv_t, self.w0, self.fac
-        d_ij = a[i, j] * fac - a[i, j]
-        d_ji = a[j, i] / fac - a[j, i]
-        resid, _ = _perturbed_residual(self.aw0.copy(), w, i, j, d_ij, d_ji)
+        per_solve = np.ndim(i) > 0
+        if not per_solve:
+            self.hold(cols)
+        fac, a, w, aw, inv = self._take(cols)
+        at = np.arange(cols.size) if per_solve else slice(None)
+        entry = i, j
+        d_ij = a[i, j, at] * fac - a[i, j, at]
+        d_ji = a[j, i, at] / fac - a[j, i, at]
+        rows = _flat_rows(i, j, cols.size) if per_solve else entry
+        resid, _ = _perturbed_residual(aw.copy(), w, *rows, d_ij, d_ji)
         out = np.empty((cols.size, len(w)))
         ok = np.zeros(cols.size, dtype=bool)
         # the working set's positions in `out`, and which of them still wait
@@ -435,7 +702,7 @@ class _ChordSolver:
         pending = np.ones(cols.size, dtype=bool)
         for _ in range(CHORD_STEPS):
             w = w - _matvec(inv, resid)
-            resid, lam = _perturbed_residual(_matvec(a, w), w, i, j, d_ij, d_ji)
+            resid, lam = _perturbed_residual(_matvec(a, w), w, *rows, d_ij, d_ji)
             done = ((np.maximum.reduce(np.abs(resid), axis=0) <= rtol * lam)
                     & (np.minimum.reduce(w, axis=0) > 0) & pending)
             if not done.any():
@@ -450,9 +717,13 @@ class _ChordSolver:
                 left = left[pending]
                 a, inv, w, resid, d_ij, d_ji = (
                     np.compress(pending, x, axis=-1) for x in (a, inv, w, resid, d_ij, d_ji))
+                if per_solve:
+                    i, j = i[pending], j[pending]
+                    rows = _flat_rows(i, j, left.size)
                 pending = np.ones(left.size, dtype=bool)
         left = np.flatnonzero(~ok)
         if left.size:
-            pert = _perturbed(self.mats, cols[left] % len(self.mats), i, j, self.fac[left])
+            i, j = (x[left] if per_solve else x for x in entry)
+            pert = _perturbed(self.mats, cols[left] % len(self.mats), i, j, fac[left])
             _, out[left], _, ok[left] = perron_batch(pert, rtol=rtol)
         return out, ok

@@ -313,9 +313,12 @@ def audit_population(
         audit = m < geometry.cap_bins
     audit_at = np.flatnonzero(audit)
     idx = solved[audit_at]
-    audited = mats[idx]
-    flags, ok_audit, first = bulk.violation_flags(audited, w0[idx], factors, margin)
-    for hist, flags_f, ok_f, first_f in zip(hists.values(), flags, ok_audit, first):
+    # with every row audited, audit mats itself rather than a copy (10 MB a
+    # chunk at n = 9)
+    audited = mats if idx.size == len(mats) else mats[idx]
+    w0, cr = w0[idx], cr[idx]
+    flags, ok_audit, first = bulk.violation_flags(audited, w0, factors, margin)
+    for (factor, hist), flags_f, ok_f, first_f in zip(hists.items(), flags, ok_audit, first):
         counted = np.ones(solved.size, dtype=bool)
         counted[audit_at[~ok_f]] = False
         hit = np.zeros(solved.size, dtype=bool)
@@ -324,8 +327,8 @@ def audit_population(
         hist.record_overflow(settled)
         hist.record_binned(keys, slot, tie, counted, hit)
         if flags_f.any():
-            hist.offer_min_example(_min_example(audited[flags_f], cr[idx[flags_f]],
-                                                first_f[flags_f]))
+            hist.offer_min_example(_min_example(audited, w0, cr, flags_f, first_f,
+                                                factor, margin))
     return hists
 
 
@@ -386,17 +389,21 @@ def simulate_chunk(
                             audit_overflow=False)[factor]
 
 
-def _min_example(mats: np.ndarray, cr: np.ndarray, first: np.ndarray) -> MinCrExample:
-    """Pick the lowest-CR violating matrix (ties broken by upper triangle);
-    ``first`` holds each matrix's witnessing (i, j, k)."""
+def _min_example(mats: np.ndarray, w0: np.ndarray, cr: np.ndarray, flagged: np.ndarray,
+                 first: np.ndarray, factor: float, margin: float) -> MinCrExample:
+    """Pick the lowest-CR matrix among the ``flagged`` rows (ties broken by
+    upper triangle), with the witnessing (i, j, k) that
+    :func:`bulk.first_violations` reads off ``first``, the audit's result at
+    ``factor``; ``w0`` holds the unperturbed weights."""
     n = mats.shape[1]
     iu, ju = np.triu_indices(n, 1)
-    tied = np.flatnonzero(cr == cr.min())
+    rows = np.flatnonzero(flagged)
+    tied = rows[cr[rows] == cr[rows].min()]
     upper = mats[tied][:, iu, ju]
     keys = tuple(upper[:, c] for c in range(upper.shape[1] - 1, -1, -1))
     pick = int(np.lexsort(keys)[0])
     best = tied[pick]
-    i, j, k = (int(v) for v in first[best])
+    i, j, k = (int(v) for v in bulk.first_violations(mats, w0, first, [best], factor, margin)[0])
     return MinCrExample(tuple(float(v) for v in upper[pick]), float(cr[best]), i, j, k)
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import STALLED_UPPER
 from pcmaudit import GeneratorConfig, build_matrix, bulk
+from pcmaudit.consistency import default_random_index_table
 from pcmaudit.errors import ValidationError
 from pcmaudit.generate import generate_batch
 
@@ -75,8 +76,19 @@ def _one(flags, f=0):
     return tuple(x[f] for x in flags)
 
 
-def _assert_same(got, want):
-    for name, g, w in zip(("violated", "ok", "first"), got, want):
+def _resolved(got, mats, w0, factor):
+    """``got`` with every flagged row's witness read through
+    ``bulk.first_violations``."""
+    violated, ok, first = got
+    first = first.copy()
+    rows = np.flatnonzero(violated)
+    first[rows] = bulk.first_violations(mats, w0, first, rows, factor, 1e-9)
+    return violated, ok, first
+
+
+def _assert_same(got, want, mats, w0, factor):
+    """Every row's flag, ok bit and witness, read through ``_resolved``."""
+    for name, g, w in zip(("violated", "ok", "first"), _resolved(got, mats, w0, factor), want):
         np.testing.assert_array_equal(g, w, err_msg=name)
 
 
@@ -86,7 +98,7 @@ def _assert_same(got, want):
 def test_chord_flags_match_squaring(n, scale, factor):
     mats, w0 = _population(n, scale)
     _assert_same(_one(bulk.violation_flags(mats, w0, (factor,), 1e-9)),
-                 _reference(n, scale, factor))
+                 _reference(n, scale, factor), mats, w0, factor)
 
 
 @pytest.mark.parametrize("scale", ["discrete", "continuous"])
@@ -97,7 +109,7 @@ def test_one_call_over_all_factors_matches_squaring(n, scale):
     assert got[0].shape == got[1].shape == (3, len(mats))
     assert got[2].shape == (3, len(mats), 3)
     for f, factor in enumerate(FACTORS):
-        _assert_same(_one(got, f), _reference(n, scale, factor))
+        _assert_same(_one(got, f), _reference(n, scale, factor), mats, w0, factor)
 
 
 @pytest.mark.parametrize("scale", ["discrete", "continuous"])
@@ -129,7 +141,7 @@ def test_chord_flags_match_squaring_on_counterexample(
     mats = kinked_matrix.entries[None]
     _, w0, _, _ = bulk.perron_batch(mats)
     got = _one(bulk.violation_flags(mats, w0, (factor,), 1e-9))
-    _assert_same(got, squaring_scan(mats, w0, factor, 1e-9))
+    _assert_same(got, squaring_scan(mats, w0, factor, 1e-9), mats, w0, factor)
     assert got[0][0] == flagged
 
 
@@ -148,9 +160,9 @@ def test_audit_blocks_do_not_change_flags(monkeypatch):
     # blocks of 300, 300, 300 and 100 matrices; the last one is below
     # CHORD_MIN_ROWS and is audited by squaring alone
     mats, w0 = _population(6, "discrete", 1000)
-    want = bulk.violation_flags(mats, w0, (1.01,), 1e-9)
+    want = _resolved(_one(bulk.violation_flags(mats, w0, (1.01,), 1e-9)), mats, w0, 1.01)
     monkeypatch.setattr(bulk, "AUDIT_BLOCK", 300)
-    _assert_same(bulk.violation_flags(mats, w0, (1.01,), 1e-9), want)
+    _assert_same(_one(bulk.violation_flags(mats, w0, (1.01,), 1e-9)), want, mats, w0, 1.01)
 
 
 def test_audit_blocks_over_all_factors_match_squaring(monkeypatch):
@@ -159,7 +171,75 @@ def test_audit_blocks_over_all_factors_match_squaring(monkeypatch):
     monkeypatch.setattr(bulk, "AUDIT_BLOCK", 300)
     got = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
     for f, factor in enumerate(FACTORS):
-        _assert_same(_one(got, f), squaring_scan(mats, w0, factor, 1e-9))
+        _assert_same(_one(got, f), squaring_scan(mats, w0, factor, 1e-9), mats, w0, factor)
+
+
+@pytest.mark.parametrize("scale", ["discrete", "continuous"])
+@pytest.mark.parametrize("n", [5, 6, 9])
+def test_prediction_only_orders_the_work(monkeypatch, n, scale):
+    # a deliberately poor first guess, the last upper entry for every column:
+    # flags, ok bits and witnesses must not move
+    last = n * (n - 1) // 2 - 1
+    monkeypatch.setattr(bulk, "_predict_entries", lambda chord: np.full(chord.cols.size, last))
+    monkeypatch.setattr(bulk, "PREDICT_MIN_SHARE", 0.0)
+    mats, w0 = _population(n, scale)
+    got = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
+    for f, factor in enumerate(FACTORS):
+        _assert_same(_one(got, f), _reference(n, scale, factor), mats, w0, factor)
+
+
+@pytest.mark.parametrize("n, predicted", [(4, False), (6, False), (6, True)])
+def test_a_failed_solve_does_not_hide_a_flag_at_another_entry(monkeypatch, n, predicted):
+    # every solve at entry (1, 2) fails, in the row-major scan (n = 4) and
+    # in the predicted-entry scan (n = 6), there also as the predicted entry:
+    # a matrix flagged at another entry is flagged, and only a matrix that
+    # no converged solve flags is a failure
+    mats, w0 = _population(n, "discrete", 512)
+    _, _, drops = squaring_scan(mats, w0, 1.01, 1e-9, full=True)
+    later = drops[1:].any(axis=2)  # (E - 1, B)
+    violated = later.any(axis=0)
+    e = np.argmax(later, axis=0) + 1
+    iu, ju = np.triu_indices(n, 1)
+    k = np.argmax(drops[e, np.arange(len(mats))], axis=1)
+    want_first = np.where(violated[:, None], np.stack([iu[e], ju[e], k], axis=1) + 1, 0)
+    assert violated.any() and not violated.all()
+
+    solve = bulk._ChordSolver.solve
+
+    def failing(self, cols, i, j, rtol):
+        w1, ok = solve(self, cols, i, j, rtol)
+        bad = np.broadcast_to((np.asarray(i) == 0) & (np.asarray(j) == 1), ok.shape)
+        w1[bad, 0] *= 0.5  # a drop of w_1 that only a trusted failed solve would flag
+        ok[bad] = False
+        return w1, ok
+
+    monkeypatch.setattr(bulk._ChordSolver, "solve", failing)
+    monkeypatch.setattr(bulk, "PREDICT_MIN_SHARE", 0.0)
+    if predicted:
+        monkeypatch.setattr(bulk, "_predict_entries", lambda chord: np.zeros(chord.cols.size, int))
+    got = _one(bulk.violation_flags(mats, w0, (1.01,), 1e-9))
+    _assert_same(got, (violated, violated, want_first), mats, w0, 1.01)
+
+
+def test_predicted_stage_runs_where_most_columns_flag(monkeypatch):
+    # at n = 5 most random matrices flag; few of those under CR 0.4, the
+    # ones a fig4 run audits, do. The stage runs on the first only, and
+    # either way the flags and witnesses are those of the squaring scan.
+    mats, w0 = _population(5, "discrete", 4096)
+    lam = bulk.perron_batch(mats)[0]
+    ri = default_random_index_table("discrete").lookup(5)
+    low = np.flatnonzero((lam - 5) / 4 / ri < 0.4)
+    assert low.size >= bulk.CHORD_MIN_ROWS
+    calls = []
+    scan = bulk._predicted_scan
+    monkeypatch.setattr(bulk, "_predicted_scan", lambda *args: calls.append(1) or scan(*args))
+    for rows, predicted in ((np.arange(1024), True), (low, False)):
+        calls.clear()
+        got = _one(bulk.violation_flags(mats[rows], w0[rows], (1.01,), 1e-9))
+        assert bool(calls) == predicted
+        want = squaring_scan(mats[rows], w0[rows], 1.01, 1e-9)
+        _assert_same(got, want, mats[rows], w0[rows], 1.01)
+        assert want[0].mean() > 0.5 if predicted else want[0].mean() < 0.25
 
 
 def test_one_inverse_per_block_whatever_the_factors(monkeypatch):
@@ -227,7 +307,7 @@ def test_squaring_fallback_alone_gives_the_same_flags(monkeypatch, n, factor):
     mats, w0 = _population(n, "discrete", 512)
     want = squaring_scan(mats, w0, factor, 1e-9)
     monkeypatch.setattr(bulk, "CHORD_STEPS", 0)
-    _assert_same(_one(bulk.violation_flags(mats, w0, (factor,), 1e-9)), want)
+    _assert_same(_one(bulk.violation_flags(mats, w0, (factor,), 1e-9)), want, mats, w0, factor)
 
 
 def test_unreachable_tolerance_fails_every_row():
@@ -238,7 +318,8 @@ def test_unreachable_tolerance_fails_every_row():
     assert not ok.any()
     assert not violated.any()
     assert not first.any()
-    _assert_same((violated, ok, first), squaring_scan(mats, w0, 1.01, 1e-9, rtol=-1.0))
+    _assert_same((violated, ok, first), squaring_scan(mats, w0, 1.01, 1e-9, rtol=-1.0),
+                 mats, w0, 1.01)
 
 
 def test_empty_batch():

@@ -166,6 +166,9 @@ def test_random_matrix_flags_match_bulk_path(rng):
     mats = generate_batch(config, 0, 300)
     _, w0, _, _ = bulk.perron_batch(mats)
     violated, _, first = (x[0] for x in bulk.violation_flags(mats, w0, (1.01,), 1e-9))
+    # read every flag's witness as the batch path reports it
+    rows = np.flatnonzero(violated)
+    first[rows] = bulk.first_violations(mats, w0, first, rows, 1.01, 1e-9)
     for t in range(300):
         report = check_monotonicity(generate(config, t), factor=1.01)
         assert report.monotonic == (not violated[t]), f"disagreement at ordinal {t}"

@@ -1,9 +1,12 @@
-"""Parity gate: the CSV bytes of four batch runs and the audit reports of
-the benchmark matrix files are pinned.
+"""Parity gate: the CSV bytes of five batch runs, the JSON histograms of two
+of them and the audit reports of the benchmark matrix files are pinned.
 
 The CSV digests were recorded before the batch paths moved onto one audit
 scan, one chunk pipeline and one fan-out helper. A later kernel or pipeline
 change must reproduce them byte for byte, with one worker and with two.
+The JSON histogram digests cover what the CSVs do not, the lowest-CR
+violating example and its witnessing (i, j, k); they were recorded while
+the audit still scanned the upper entries in row-major order.
 """
 
 import hashlib
@@ -27,6 +30,11 @@ RUNS = {
          "--seed", "3", "--iters", "20000"],
         {".csv": "17d60d00bce2303c659cae5a517d0937b24039728010f13927b173edc7398a85"},
     ),
+    "simulate_fig2_n6_continuous": (
+        ["simulate", "--preset", "fig2", "--n", "6", "--scale", "continuous",
+         "--seed", "3", "--iters", "20000"],
+        {".csv": "ca53a79f5b42f729039c2ab0fc2a9d2904d6381ac46be745a60770d0e7610fff"},
+    ),
     "simulate_fig4_n6": (
         ["simulate", "--preset", "fig4", "--n", "6", "--scale", "discrete",
          "--seed", "3", "--iters", "20000"],
@@ -41,6 +49,14 @@ RUNS = {
 }
 
 
+# sha256 of json.dumps(doc["histogram"], sort_keys=True) of the run's .json
+HISTOGRAM_DIGESTS = {
+    "simulate_fig2_n9": "fd4c63947a892b2c375b67b5fa2e7c3af392e9b1f2d11b579fae3a397ba600f8",
+    "simulate_fig2_n6_continuous":
+        "042fc142bcebe9ee41f59ba0e01d6b2f92b82f8ddc305150c7b5e664fe5713b0",
+}
+
+
 @pytest.mark.parametrize("name", RUNS)
 def test_csv_bytes_match_pinned_digests(name, tmp_path, capsys):
     argv, digests = RUNS[name]
@@ -50,6 +66,10 @@ def test_csv_bytes_match_pinned_digests(name, tmp_path, capsys):
         got = {suffix: hashlib.sha256((tmp_path / f"w{workers}{suffix}").read_bytes()).hexdigest()
                for suffix in digests}
         assert got == digests, f"--workers {workers}"
+        if name in HISTOGRAM_DIGESTS:
+            hist = json.loads((tmp_path / f"w{workers}.json").read_text())["histogram"]
+            digest = hashlib.sha256(json.dumps(hist, sort_keys=True).encode()).hexdigest()
+            assert digest == HISTOGRAM_DIGESTS[name], f"histogram, --workers {workers}"
 
 
 # The audit reports of every benchmark matrix file at three factors, as

@@ -167,8 +167,31 @@ def test_min_example_tie_breaks_lexicographically():
     mats = matrices_from_upper(3, np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 5.0],
                                             [2.0, 1.0, 4.0]]))
     first = np.array([[1, 2, 3], [1, 3, 2], [2, 3, 1]])
-    example = _min_example(mats, np.array([0.7, 0.5, 0.5]), first)
+    w0 = bulk.perron_batch(mats)[1]
+    cr = np.array([0.7, 0.5, 0.5])
+    flagged = np.ones(3, dtype=bool)
+    example = _min_example(mats, w0, cr, flagged, first, 1.01, 1e-9)
     assert example == MinCrExample((2.0, 1.0, 4.0), 0.5, 2, 3, 1)
+    # only flagged rows compete
+    flagged[2] = False
+    example = _min_example(mats, w0, cr, flagged, first, 1.01, 1e-9)
+    assert example == MinCrExample((2.0, 1.0, 5.0), 0.5, 1, 3, 2)
+
+
+def test_min_example_resolves_a_predicted_witness():
+    # a zero witness marks a flag from a predicted entry: the pick's
+    # row-major first drop is solved for, as the full scalar audit reports it
+    mats = generate_batch(GeneratorConfig(6, "continuous", 5), 0, 64)
+    lam, w0, _, _ = bulk.perron_batch(mats)
+    cr = _cr(lam, 6, default_random_index_table("continuous").lookup(6))
+    violated = np.array([not check_monotonicity(generate(GeneratorConfig(6, "continuous", 5), t),
+                                                factor=1.01).monotonic for t in range(64)])
+    first = np.zeros((len(mats), 3), dtype=np.int64)
+    example = _min_example(mats, w0, cr, violated, first, 1.01, 1e-9)
+    best = np.flatnonzero(violated)[np.argmin(cr[violated])]
+    v = check_monotonicity(generate(GeneratorConfig(6, "continuous", 5), int(best)),
+                           factor=1.01).violations[0]
+    assert (example.cr, example.i, example.j, example.k) == (cr[best], v.i, v.j, v.k)
 
 
 def test_histogram_json_round_trip():

@@ -38,8 +38,11 @@ def test_traced_batch_paths_report_their_layers(tracing):
     with tracing.Tracer() as tracer:
         run_simulation(GeneratorConfig(4, "discrete", 5), 2000, beta=0.1, factor=1.01)
         enumerate_n4_discrete(0.1, [1.01], stride=400_000)
+        # most n = 6 matrices flag, so their audit solves each predicted entry first
+        run_simulation(GeneratorConfig(6, "discrete", 5), 2000, beta=0.1, factor=1.01)
     metrics = tracer.layer_metrics()
     assert metrics["bulk.audit_flagged"] > 0
     assert metrics["simulate.min_example_s"] > 0
-    # the min-example search reads its witness off the audit: no eigen solves
+    # the min-example search reads its witness off the audit or, after a
+    # predicted entry flagged, solves for it with chord steps: no squaring
     assert metrics["simulate.min_example_solves"] == 0
