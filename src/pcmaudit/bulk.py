@@ -109,15 +109,12 @@ most ``AUDIT_BLOCK`` pairs per call. The prediction only orders the work:
 every flag still comes from a converged chord solve, or the squaring
 fallback, under the same residual test and margin, so ``violated`` and
 ``ok`` are those of the row-major scan (:func:`violation_flags` states the
-failure rule, which does not depend on the order). ``first`` does change: a
-column flagged at its predicted entry gets (0, 0, 0), as its row-major first
-drop was never solved for. :func:`first_violations` is the one reader of
-``first``: it returns a flag's drop from there or, where it is zero, solves
-for it with the pair scan, which ``simulate`` does for the one matrix each
-chunk reports. At factor 1.01, over 16,384 matrices per case, the predicted
-entry flagged 99.8% (n = 5) to 100.0% (n = 9) of the violating matrices,
-against 16-17% for entry (1, 2), and the perturbed solves per matrix fell
-from 6.3-6.5 to 3.9 (n = 5), 2.6 (n = 6) and 1.06 (n = 9, discrete).
+failure rule, which does not depend on the order). The scan returns
+flags alone, so the order leaves no trace (see Witness below). At factor
+1.01, over 16,384 matrices per case, the predicted entry flagged 99.8%
+(n = 5) to 100.0% (n = 9) of the violating matrices, against 16-17% for
+entry (1, 2), and the perturbed solves per matrix fell from 6.3-6.5 to 3.9
+(n = 5), 2.6 (n = 6) and 1.06 (n = 9, discrete).
 
 What the stage adds is the prediction, one solve per column that its
 entry does not flag, and a pair scan over those columns with no early exit
@@ -180,6 +177,15 @@ scan has a full mode with no early exit: it returns the perturbed weights,
 block is one matrix, so each entry takes one :func:`perron_batch` call.
 Every audit and entry point checks its factors and margin with
 :func:`audit_factors`, the one rule for both.
+
+Witness. Each output reports, per factor, the row-major first drop
+(i, j, k) of its lowest-CR flagged matrix, read by :func:`first_violations`
+alone, once per output: it solves the matrix and its raised-entry copies by
+squaring, as the full scan does, so the witness is the first record of
+:func:`pcmaudit.monotonic.check_monotonicity`, whichever scan flagged the
+matrix. One matrix takes about 0.3 ms at n = 4 and 0.4 ms at n = 9 (2
+vCPUs, numpy 2.4.6). Chord steps would add a batched inverse, and memory,
+to processes that invert nothing else (a fan-out's parent, fig4 at n = 9).
 """
 
 from __future__ import annotations
@@ -348,7 +354,7 @@ def violation_flags(
     margin: float,
     method: str = "eigenvector",
     rtol: float = RESIDUAL_RTOL,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Flag matrices whose weight ratios move against an increased judgment.
 
     For every factor f in ``factors`` and every upper-triangle entry (i, j)
@@ -360,12 +366,9 @@ def violation_flags(
     converged perturbed solve flags it; it is a failure at f only when none
     does and some solve did not converge. That rule does not depend on the
     order in which entries are solved, and a matrix flagged at f is not
-    solved further at f. Returns ``(violated, ok, first)``, indexed by
-    factor first: ``violated`` and ``ok`` are booleans of shape (F, B),
-    ``ok`` False for failures; ``first`` (F, B, 3) is what
-    :func:`first_violations` reads each flag's witness from, the 1-based
-    (i, j, k) of its row-major first drop (first flagging entry, smallest k
-    at it); read it through that function.
+    solved further at f. Returns ``(violated, ok)``, booleans of shape
+    (F, B) indexed by factor first, ``ok`` False for failures. A flagged
+    matrix's witness is read by :func:`first_violations`.
     """
     mats = np.asarray(mats, dtype=float)
     w0 = np.asarray(w0, dtype=float)
@@ -374,38 +377,35 @@ def violation_flags(
     f, b = factors.size, mats.shape[0]
     violated = np.zeros((f, b), dtype=bool)
     ok = np.ones((f, b), dtype=bool)
-    first = np.zeros((f, b, 3), dtype=np.int64)
     # blocks bound the chord kernel's working set
     for lo in range(0, b, AUDIT_BLOCK):
         block = slice(lo, lo + AUDIT_BLOCK)
         got = _audit_block(mats[block], w0[block], factors, 1.0 - margin, use_eigen, rtol)
-        for out, cols in zip((violated, ok, first), got):
-            out[:, block] = cols.reshape(f, -1, *cols.shape[1:])
-    return violated, ok, first
+        for out, cols in zip((violated, ok), got):
+            out[:, block] = cols.reshape(f, -1)
+    return violated, ok
 
 
-def first_violations(mats: np.ndarray, w0: np.ndarray, first: np.ndarray, rows,
-                     factor: float, margin: float) -> np.ndarray:
-    """The row-major first drop (i, j, k), 1-based, of each flagged matrix
-    at the integer positions ``rows``, given the (B, 3) ``first`` that
-    :func:`violation_flags` returned for ``mats`` at ``factor``.
-
-    A flag from the row-major scan carries its drop in ``first``. A flag
-    from a predicted entry left zeros there, and the drop is solved for:
-    every upper entry of each such matrix goes through the chord steps, as
-    (matrix, entry) pairs in one scan, under the audit's residual test and
-    drop test.
+def first_violations(mats: np.ndarray, factor: float, margin: float) -> np.ndarray:
+    """The 1-based (i, j, k) of each matrix's row-major first drop at
+    ``factor``, shape (B, 3): the first upper entry (i, j) whose raise makes
+    some w_i/w_k drop by more than ``margin``, and the least such k; zeros
+    where none does. One :func:`perron_batch` call solves the (B, n, n)
+    stack and one every raised-entry copy, the scalar audit's solves; a
+    solve that does not converge shows no drop.
     """
-    rows = np.asarray(rows)
-    got = first[rows]
-    left = np.flatnonzero(~got.any(axis=1))
-    if left.size:
-        at = rows[left]
-        w0 = np.asarray(w0, dtype=float)[at]
-        chord = _ChordSolver(np.asarray(mats, dtype=float)[at], w0,
-                             np.array(audit_factors((factor,), margin)))
-        got[left] = _pair_scan(chord, w0, np.arange(at.size), 1.0 - margin, RESIDUAL_RTOL)[2]
-    return got
+    mats = np.asarray(mats, dtype=float)
+    factor, = audit_factors((factor,), margin)
+    b, n, _ = mats.shape
+    iu, ju = np.triu_indices(n, 1)
+    rows = np.repeat(np.arange(b), iu.size)
+    i = np.tile(iu, b)
+    _, w0, _, ok0 = perron_batch(mats)
+    _, w1, _, ok1 = perron_batch(_perturbed(mats, rows, i, np.tile(ju, b), factor))
+    worse = _drops(w0[rows], w1, i, 1.0 - margin) & (ok0[rows] & ok1)[:, None]
+    worse = worse.reshape(b, iu.size * n)  # per matrix, (entry, k) in row-major order
+    e, k = np.divmod(np.argmax(worse, axis=1), n)
+    return np.where(worse.any(axis=1)[:, None], np.stack([iu[e], ju[e], k], axis=1) + 1, 0)
 
 
 def _audit_block(mats, w0, factors, thresh, use_eigen, rtol, full=False):
@@ -413,11 +413,11 @@ def _audit_block(mats, w0, factors, thresh, use_eigen, rtol, full=False):
     ``factors[c // B]``.
 
     By default a column leaves the scan at its first flag, and the flat
-    (F*B,) ``violated`` and ``ok`` and (F*B, 3) ``first`` of
-    :func:`violation_flags` are returned. Chord blocks at n >=
-    ``PREDICT_MIN_N`` whose columns mostly flag (:func:`_mostly_flagged`)
-    solve each column's predicted entry first (:func:`_predicted_scan`); the
-    others scan the entries in row-major order. With ``full`` no column
+    (F*B,) ``violated`` and ``ok`` of :func:`violation_flags` are returned.
+    Chord blocks at n >= ``PREDICT_MIN_N`` whose columns mostly flag
+    (:func:`_mostly_flagged`) solve each column's predicted entry first
+    (:func:`_predicted_scan`); the others scan the entries in row-major
+    order. With ``full`` no column
     leaves, and per upper entry e (row-major) and column come the perturbed
     weights ``w1`` (E, F*B, n), the solves' ``ok`` (E, F*B) and the
     ``drops`` (E, F*B, n) over k. A failed solve leaves its last iterate, and
@@ -433,7 +433,6 @@ def _audit_block(mats, w0, factors, thresh, use_eigen, rtol, full=False):
     col_fac = np.repeat(factors, b)
     violated = np.zeros(col_mat.size, dtype=bool)
     failed = np.zeros(col_mat.size, dtype=bool)
-    first = np.zeros((col_mat.size, 3), dtype=np.int64)
     if full:
         shape = (len(entries), col_mat.size)
         scan = np.empty(shape + (n,)), np.zeros(shape, bool), np.zeros(shape + (n,), bool)
@@ -459,12 +458,8 @@ def _audit_block(mats, w0, factors, thresh, use_eigen, rtol, full=False):
         if full:
             scan[2][e, active] = worse
             continue
-        hit = np.any(worse, axis=1)
-        rows = active[hit]
-        violated[rows] = True
-        first[rows, :2] = i + 1, j + 1
-        first[rows, 2] = np.argmax(worse[hit], axis=1) + 1
-    return scan if full else (violated, violated | ~failed, first)
+        violated[active[np.any(worse, axis=1)]] = True
+    return scan if full else (violated, violated | ~failed)
 
 
 def _drops(w0: np.ndarray, w1: np.ndarray, i, thresh: float) -> np.ndarray:
@@ -482,9 +477,8 @@ def _predicted_scan(chord, w0, thresh, rtol):
 
     One chord call solves each column at the entry :func:`_predict_entries`
     names. The columns it does not flag go to :func:`_pair_scan`, which
-    solves their other entries at once. Returns ``(violated, ok, first)`` as
-    :func:`_audit_block` does, ``first`` zero where the predicted entry
-    flagged.
+    solves their other entries at once. Returns ``(violated, ok)`` as
+    :func:`_audit_block` does.
     """
     n = w0.shape[1]
     iu, ju = np.triu_indices(n, 1)
@@ -493,35 +487,30 @@ def _predicted_scan(chord, w0, thresh, rtol):
     w1, ok = chord.solve(cols, iu[pick], ju[pick], rtol)
     violated = np.zeros(cols.size, dtype=bool)
     violated[ok] = np.any(_drops(w0[ok], w1[ok], iu[pick[ok]], thresh), axis=1)
-    first = np.zeros((cols.size, 3), dtype=np.int64)
     rest = np.flatnonzero(~violated)
     if rest.size:
         chord.hold(rest)
-        violated[rest], failed, first[rest] = _pair_scan(chord, w0, rest, thresh, rtol,
-                                                         skip=pick[rest])
+        violated[rest], failed = _pair_scan(chord, w0, rest, thresh, rtol, skip=pick[rest])
         ok[rest] &= ~failed
-    return violated, violated | ok, first
+    return violated, violated | ok
 
 
-def _pair_scan(chord, w0, cols, thresh, rtol, skip=None):
+def _pair_scan(chord, w0, cols, thresh, rtol, skip):
     """Solve every upper entry of each of the sorted held columns ``cols``
     as (column, entry) pairs, at most ``AUDIT_BLOCK`` pairs per chord call;
     ``skip`` names one entry per column to leave out.
 
     ``w0`` holds the unperturbed weights of every column. Returns, per
-    column, whether some converged solve flagged it, whether some solve
-    failed, and the 1-based (i, j, k) of its row-major first drop, zeros
-    where none.
+    column, whether some converged solve flagged it and whether some solve
+    failed.
     """
     n = w0.shape[1]
     iu, ju = np.triu_indices(n, 1)
     pair_col = np.repeat(np.arange(cols.size), iu.size)
     pair_e = np.tile(np.arange(iu.size), cols.size)
-    if skip is not None:
-        keep = pair_e != skip[pair_col]
-        pair_col, pair_e = pair_col[keep], pair_e[keep]
-    hit = np.zeros((cols.size, iu.size), dtype=bool)
-    k_hit = np.zeros((cols.size, iu.size), dtype=np.int64)
+    keep = pair_e != skip[pair_col]
+    pair_col, pair_e = pair_col[keep], pair_e[keep]
+    violated = np.zeros(cols.size, dtype=bool)
     failed = np.zeros(cols.size, dtype=bool)
     for lo in range(0, pair_col.size, AUDIT_BLOCK):
         c, e = pair_col[lo:lo + AUDIT_BLOCK], pair_e[lo:lo + AUDIT_BLOCK]
@@ -529,15 +518,8 @@ def _pair_scan(chord, w0, cols, thresh, rtol, skip=None):
         failed[c[~ok1]] = True
         c, e = c[ok1], e[ok1]
         worse = _drops(w0[cols[c]], w1[ok1], iu[e], thresh)
-        flag = np.any(worse, axis=1)
-        hit[c[flag], e[flag]] = True
-        k_hit[c[flag], e[flag]] = np.argmax(worse[flag], axis=1)
-    violated = np.any(hit, axis=1)
-    first = np.zeros((cols.size, 3), dtype=np.int64)
-    rows = np.flatnonzero(violated)
-    e = np.argmax(hit[rows], axis=1)  # the row-major first flagging entry
-    first[rows] = np.stack([iu[e], ju[e], k_hit[rows, e]], axis=1) + 1
-    return violated, failed, first
+        violated[c[np.any(worse, axis=1)]] = True
+    return violated, failed
 
 
 def _mostly_flagged(chord, thresh: float) -> bool:

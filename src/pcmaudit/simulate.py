@@ -3,10 +3,11 @@
 One simulation iteration generates a random matrix, bins it by consistency
 ratio, audits eigenvector monotonicity over all upper-triangle perturbations,
 and increments the bin's violating count at most once however many triples
-failed. A running minimum-CR violating example is kept with its witnessing
-(i, j, k). Work is chunked on fixed generator-substream boundaries and chunk
-results merge associatively, so a run's output is a pure function of
-(seed, iterations) regardless of worker count.
+failed. A running minimum-CR violating example is kept; its witnessing
+(i, j, k) is resolved once per output (:func:`resolve_examples`). Work is
+chunked on fixed generator-substream boundaries and chunk results merge
+associatively, so a run's output is a pure function of (seed, iterations)
+regardless of worker count.
 
 Under a CR cap whose overflow bucket is not audited, most matrices need no
 base solve: a Collatz-Wielandt interval for each Perron root, after
@@ -28,7 +29,7 @@ from . import bulk
 from .consistency import CI_NOISE_CLAMP, default_random_index_table
 from .errors import ValidationError
 from .fanout import ordered_map
-from .generate import SUBSTREAM_CHUNK, GeneratorConfig, generate_batch
+from .generate import SUBSTREAM_CHUNK, GeneratorConfig, generate_batch, matrices_from_upper
 from .monotonic import VIOLATION_MARGIN
 
 # CR values this close to a bin boundary are assigned to the lower bin and
@@ -43,13 +44,15 @@ MAX_BINS = 10**6
 
 @dataclass
 class MinCrExample:
-    """Lowest-CR matrix seen with a non-monotonic eigenvector."""
+    """Lowest-CR matrix seen with a non-monotonic eigenvector, and its
+    witness: raising a_ij lowers w_i/w_k. The witness is None in a chunk's
+    result and resolved once per output (:func:`resolve_examples`)."""
 
     upper_entries: tuple[float, ...]
     cr: float
-    i: int
-    j: int
-    k: int
+    i: int | None = None
+    j: int | None = None
+    k: int | None = None
 
     def sort_key(self):
         return (self.cr, self.upper_entries)
@@ -279,7 +282,7 @@ def audit_population(
     factor. Matrices whose base solve, CI or audit fails count as failures.
     With ``audit_overflow`` False the audit skips matrices binned in the
     cap's overflow bucket; they still count toward totals. Each histogram
-    keeps the lowest-CR violating matrix with its first violating (i, j, k).
+    keeps the lowest-CR violating matrix, its witness not yet resolved.
 
     With a cap and ``audit_overflow`` False, matrices that
     :func:`_settled_over_cap` certifies to bin in overflow with no tie are
@@ -317,8 +320,8 @@ def audit_population(
     # chunk at n = 9)
     audited = mats if idx.size == len(mats) else mats[idx]
     w0, cr = w0[idx], cr[idx]
-    flags, ok_audit, first = bulk.violation_flags(audited, w0, factors, margin)
-    for (factor, hist), flags_f, ok_f, first_f in zip(hists.items(), flags, ok_audit, first):
+    flags, ok_audit = bulk.violation_flags(audited, w0, factors, margin)
+    for hist, flags_f, ok_f in zip(hists.values(), flags, ok_audit):
         counted = np.ones(solved.size, dtype=bool)
         counted[audit_at[~ok_f]] = False
         hit = np.zeros(solved.size, dtype=bool)
@@ -327,8 +330,7 @@ def audit_population(
         hist.record_overflow(settled)
         hist.record_binned(keys, slot, tie, counted, hit)
         if flags_f.any():
-            hist.offer_min_example(_min_example(audited, w0, cr, flags_f, first_f,
-                                                factor, margin))
+            hist.offer_min_example(_min_example(audited, cr, flags_f))
     return hists
 
 
@@ -389,12 +391,9 @@ def simulate_chunk(
                             audit_overflow=False)[factor]
 
 
-def _min_example(mats: np.ndarray, w0: np.ndarray, cr: np.ndarray, flagged: np.ndarray,
-                 first: np.ndarray, factor: float, margin: float) -> MinCrExample:
+def _min_example(mats: np.ndarray, cr: np.ndarray, flagged: np.ndarray) -> MinCrExample:
     """Pick the lowest-CR matrix among the ``flagged`` rows (ties broken by
-    upper triangle), with the witnessing (i, j, k) that
-    :func:`bulk.first_violations` reads off ``first``, the audit's result at
-    ``factor``; ``w0`` holds the unperturbed weights."""
+    upper triangle), its witness left for :func:`resolve_examples`."""
     n = mats.shape[1]
     iu, ju = np.triu_indices(n, 1)
     rows = np.flatnonzero(flagged)
@@ -402,9 +401,18 @@ def _min_example(mats: np.ndarray, w0: np.ndarray, cr: np.ndarray, flagged: np.n
     upper = mats[tied][:, iu, ju]
     keys = tuple(upper[:, c] for c in range(upper.shape[1] - 1, -1, -1))
     pick = int(np.lexsort(keys)[0])
-    best = tied[pick]
-    i, j, k = (int(v) for v in bulk.first_violations(mats, w0, first, [best], factor, margin)[0])
-    return MinCrExample(tuple(float(v) for v in upper[pick]), float(cr[best]), i, j, k)
+    return MinCrExample(tuple(float(v) for v in upper[pick]), float(cr[tied[pick]]))
+
+
+def resolve_examples(hists: dict[float, CrHistogram], n: int, margin: float) -> None:
+    """Set each unresolved min-CR example's witness, in histograms of
+    n x n matrices keyed by factor: :func:`bulk.first_violations` of its
+    matrix, rebuilt from the upper triangle as every batch is built."""
+    for factor, hist in hists.items():
+        ex = hist.min_cr_example
+        if ex is not None and ex.i is None:
+            mat = matrices_from_upper(n, np.array([ex.upper_entries]))
+            ex.i, ex.j, ex.k = (int(v) for v in bulk.first_violations(mat, factor, margin)[0])
 
 
 def run_simulation(
@@ -434,4 +442,5 @@ def run_simulation(
     result = CrHistogram(beta=beta, cap=cr_cap)
     for part in ordered_map(simulate_chunk, tasks, workers):
         result.merge(part)
+    resolve_examples({factor: result}, config.n, margin)
     return result

@@ -27,7 +27,7 @@ from .fanout import ordered_map
 from .generate import SAATY_VALUES, matrices_from_upper
 from .matrix import _write_atomic
 from .monotonic import VIOLATION_MARGIN
-from .simulate import CrHistogram, audit_population
+from .simulate import CrHistogram, audit_population, resolve_examples
 
 MATRIX_SIZE = 4
 UPPER_ENTRIES = 6
@@ -164,9 +164,11 @@ def enumerate_n4_discrete(
             progress(hi, TOTAL_MATRICES)
         since_checkpoint += hi - lo
         if checkpoint_path and since_checkpoint >= checkpoint_every:
+            resolve_examples(hists, MATRIX_SIZE, margin)
             write_checkpoint(checkpoint_path, _checkpoint_doc(
                 beta, factors, stride, cap, margin, hi, hists))
             since_checkpoint = 0
+    resolve_examples(hists, MATRIX_SIZE, margin)
     if checkpoint_path:
         write_checkpoint(checkpoint_path, _checkpoint_doc(
             beta, factors, stride, cap, margin, TOTAL_MATRICES, hists))

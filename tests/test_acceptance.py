@@ -211,8 +211,9 @@ def test_criterion_8_exhaustive_full(tmp_path):
 
     example = h.min_cr_example
     assert example.cr == pytest.approx(MIN_VIOLATING_CR, abs=0.0005)
-    # ties on CR break lexicographically, so the sweep surfaces the smallest
-    # relabeling of the known counterexample
+    # the minimum is a relabeling of the known counterexample; which one is
+    # decided by roundoff, as the relabelings' float CRs differ in the last
+    # digit, so the lexicographic tie-break need not pick the smallest
     assert _is_relabeling(example.upper_entries, KINKED_UPPER)
     _ok(8, f"full sweep: total {h.total}, [0,0.1) = {bin0_total}, "
            f"[0.48,0.49) violating = "

@@ -3,8 +3,9 @@
 ``squaring_scan`` is the audit as it was before the chord kernel: every
 perturbed matrix is copied and re-solved from scratch by ``perron_batch``.
 It stays here as the reference that ``bulk.violation_flags`` is compared to,
-and, with ``full``, the reference for the no-early-exit scan behind
-``check_monotonicity``.
+with ``full``, the reference for the no-early-exit scan behind
+``check_monotonicity``, and its ``first`` the reference for the witness that
+``bulk.first_violations`` resolves.
 """
 
 import functools
@@ -72,24 +73,22 @@ def _reference(n, scale, factor):
 
 
 def _one(flags, f=0):
-    """The (violated, ok, first) of factor ``f`` from a multi-factor result."""
+    """The (violated, ok) of factor ``f`` from a multi-factor result."""
     return tuple(x[f] for x in flags)
 
 
-def _resolved(got, mats, w0, factor):
-    """``got`` with every flagged row's witness read through
-    ``bulk.first_violations``."""
-    violated, ok, first = got
-    first = first.copy()
-    rows = np.flatnonzero(violated)
-    first[rows] = bulk.first_violations(mats, w0, first, rows, factor, 1e-9)
-    return violated, ok, first
-
-
-def _assert_same(got, want, mats, w0, factor):
-    """Every row's flag, ok bit and witness, read through ``_resolved``."""
-    for name, g, w in zip(("violated", "ok", "first"), _resolved(got, mats, w0, factor), want):
+def _assert_same(got, want):
+    """Every row's flag and ok bit against the reference ``want``."""
+    for name, g, w in zip(("violated", "ok"), got, want):
         np.testing.assert_array_equal(g, w, err_msg=name)
+
+
+def _assert_witness(want, mats, factor):
+    """The witness that ``bulk.first_violations`` resolves for each row the
+    reference ``want`` flags, against the reference's ``first``."""
+    flagged = want[0]
+    np.testing.assert_array_equal(bulk.first_violations(mats[flagged], factor, 1e-9),
+                                  want[2][flagged])
 
 
 @pytest.mark.parametrize("factor", FACTORS)
@@ -97,8 +96,9 @@ def _assert_same(got, want, mats, w0, factor):
 @pytest.mark.parametrize("n", range(3, 10))
 def test_chord_flags_match_squaring(n, scale, factor):
     mats, w0 = _population(n, scale)
-    _assert_same(_one(bulk.violation_flags(mats, w0, (factor,), 1e-9)),
-                 _reference(n, scale, factor), mats, w0, factor)
+    want = _reference(n, scale, factor)
+    _assert_same(_one(bulk.violation_flags(mats, w0, (factor,), 1e-9)), want)
+    _assert_witness(want, mats, factor)
 
 
 @pytest.mark.parametrize("scale", ["discrete", "continuous"])
@@ -107,9 +107,8 @@ def test_one_call_over_all_factors_matches_squaring(n, scale):
     mats, w0 = _population(n, scale)
     got = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
     assert got[0].shape == got[1].shape == (3, len(mats))
-    assert got[2].shape == (3, len(mats), 3)
     for f, factor in enumerate(FACTORS):
-        _assert_same(_one(got, f), _reference(n, scale, factor), mats, w0, factor)
+        _assert_same(_one(got, f), _reference(n, scale, factor))
 
 
 @pytest.mark.parametrize("scale", ["discrete", "continuous"])
@@ -141,7 +140,9 @@ def test_chord_flags_match_squaring_on_counterexample(
     mats = kinked_matrix.entries[None]
     _, w0, _, _ = bulk.perron_batch(mats)
     got = _one(bulk.violation_flags(mats, w0, (factor,), 1e-9))
-    _assert_same(got, squaring_scan(mats, w0, factor, 1e-9), mats, w0, factor)
+    want = squaring_scan(mats, w0, factor, 1e-9)
+    _assert_same(got, want)
+    _assert_witness(want, mats, factor)
     assert got[0][0] == flagged
 
 
@@ -150,19 +151,20 @@ def test_counterexample_in_one_call(monkeypatch, kinked_matrix, min_rows):
     monkeypatch.setattr(bulk, "CHORD_MIN_ROWS", min_rows)
     mats = kinked_matrix.entries[None]
     _, w0, _, _ = bulk.perron_batch(mats)
-    violated, ok, first = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
+    violated, ok = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
     assert ok.all()
     assert violated[:, 0].tolist() == [True, True, False]
-    assert first[:, 0].tolist() == [[1, 3, 4], [1, 3, 4], [0, 0, 0]]
+    first = [bulk.first_violations(mats, f, 1e-9)[0].tolist() for f in FACTORS]
+    assert first == [[1, 3, 4], [1, 3, 4], [0, 0, 0]]
 
 
 def test_audit_blocks_do_not_change_flags(monkeypatch):
     # blocks of 300, 300, 300 and 100 matrices; the last one is below
     # CHORD_MIN_ROWS and is audited by squaring alone
     mats, w0 = _population(6, "discrete", 1000)
-    want = _resolved(_one(bulk.violation_flags(mats, w0, (1.01,), 1e-9)), mats, w0, 1.01)
+    want = bulk.violation_flags(mats, w0, (1.01,), 1e-9)
     monkeypatch.setattr(bulk, "AUDIT_BLOCK", 300)
-    _assert_same(_one(bulk.violation_flags(mats, w0, (1.01,), 1e-9)), want, mats, w0, 1.01)
+    _assert_same(bulk.violation_flags(mats, w0, (1.01,), 1e-9), want)
 
 
 def test_audit_blocks_over_all_factors_match_squaring(monkeypatch):
@@ -171,21 +173,23 @@ def test_audit_blocks_over_all_factors_match_squaring(monkeypatch):
     monkeypatch.setattr(bulk, "AUDIT_BLOCK", 300)
     got = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
     for f, factor in enumerate(FACTORS):
-        _assert_same(_one(got, f), squaring_scan(mats, w0, factor, 1e-9), mats, w0, factor)
+        want = squaring_scan(mats, w0, factor, 1e-9)
+        _assert_same(_one(got, f), want)
+        _assert_witness(want, mats, factor)
 
 
 @pytest.mark.parametrize("scale", ["discrete", "continuous"])
 @pytest.mark.parametrize("n", [5, 6, 9])
 def test_prediction_only_orders_the_work(monkeypatch, n, scale):
     # a deliberately poor first guess, the last upper entry for every column:
-    # flags, ok bits and witnesses must not move
+    # flags and ok bits must not move
     last = n * (n - 1) // 2 - 1
     monkeypatch.setattr(bulk, "_predict_entries", lambda chord: np.full(chord.cols.size, last))
     monkeypatch.setattr(bulk, "PREDICT_MIN_SHARE", 0.0)
     mats, w0 = _population(n, scale)
     got = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
     for f, factor in enumerate(FACTORS):
-        _assert_same(_one(got, f), _reference(n, scale, factor), mats, w0, factor)
+        _assert_same(_one(got, f), _reference(n, scale, factor))
 
 
 @pytest.mark.parametrize("n, predicted", [(4, False), (6, False), (6, True)])
@@ -196,12 +200,7 @@ def test_a_failed_solve_does_not_hide_a_flag_at_another_entry(monkeypatch, n, pr
     # no converged solve flags is a failure
     mats, w0 = _population(n, "discrete", 512)
     _, _, drops = squaring_scan(mats, w0, 1.01, 1e-9, full=True)
-    later = drops[1:].any(axis=2)  # (E - 1, B)
-    violated = later.any(axis=0)
-    e = np.argmax(later, axis=0) + 1
-    iu, ju = np.triu_indices(n, 1)
-    k = np.argmax(drops[e, np.arange(len(mats))], axis=1)
-    want_first = np.where(violated[:, None], np.stack([iu[e], ju[e], k], axis=1) + 1, 0)
+    violated = drops[1:].any(axis=(0, 2))
     assert violated.any() and not violated.all()
 
     solve = bulk._ChordSolver.solve
@@ -217,8 +216,7 @@ def test_a_failed_solve_does_not_hide_a_flag_at_another_entry(monkeypatch, n, pr
     monkeypatch.setattr(bulk, "PREDICT_MIN_SHARE", 0.0)
     if predicted:
         monkeypatch.setattr(bulk, "_predict_entries", lambda chord: np.zeros(chord.cols.size, int))
-    got = _one(bulk.violation_flags(mats, w0, (1.01,), 1e-9))
-    _assert_same(got, (violated, violated, want_first), mats, w0, 1.01)
+    _assert_same(_one(bulk.violation_flags(mats, w0, (1.01,), 1e-9)), (violated, violated))
 
 
 def test_predicted_stage_runs_where_most_columns_flag(monkeypatch):
@@ -238,7 +236,8 @@ def test_predicted_stage_runs_where_most_columns_flag(monkeypatch):
         got = _one(bulk.violation_flags(mats[rows], w0[rows], (1.01,), 1e-9))
         assert bool(calls) == predicted
         want = squaring_scan(mats[rows], w0[rows], 1.01, 1e-9)
-        _assert_same(got, want, mats[rows], w0[rows], 1.01)
+        _assert_same(got, want)
+        _assert_witness(want, mats[rows], 1.01)
         assert want[0].mean() > 0.5 if predicted else want[0].mean() < 0.25
 
 
@@ -307,25 +306,24 @@ def test_squaring_fallback_alone_gives_the_same_flags(monkeypatch, n, factor):
     mats, w0 = _population(n, "discrete", 512)
     want = squaring_scan(mats, w0, factor, 1e-9)
     monkeypatch.setattr(bulk, "CHORD_STEPS", 0)
-    _assert_same(_one(bulk.violation_flags(mats, w0, (factor,), 1e-9)), want, mats, w0, factor)
+    _assert_same(_one(bulk.violation_flags(mats, w0, (factor,), 1e-9)), want)
+    _assert_witness(want, mats, factor)
 
 
 def test_unreachable_tolerance_fails_every_row():
     # a chord iterate can reach a residual of exactly 0.0 in floating point,
     # so only a negative tolerance is out of reach for every row
     mats, w0 = _population(5, "discrete", 256)
-    violated, ok, first = _one(bulk.violation_flags(mats, w0, (1.01,), 1e-9, rtol=-1.0))
+    violated, ok = _one(bulk.violation_flags(mats, w0, (1.01,), 1e-9, rtol=-1.0))
     assert not ok.any()
     assert not violated.any()
-    assert not first.any()
-    _assert_same((violated, ok, first), squaring_scan(mats, w0, 1.01, 1e-9, rtol=-1.0),
-                 mats, w0, 1.01)
+    _assert_same((violated, ok), squaring_scan(mats, w0, 1.01, 1e-9, rtol=-1.0))
 
 
 def test_empty_batch():
-    violated, ok, first = bulk.violation_flags(np.ones((0, 4, 4)), np.ones((0, 4)), FACTORS, 1e-9)
+    violated, ok = bulk.violation_flags(np.ones((0, 4, 4)), np.ones((0, 4)), FACTORS, 1e-9)
     assert violated.shape == ok.shape == (3, 0)
-    assert first.shape == (3, 0, 3)
+    assert bulk.first_violations(np.ones((0, 4, 4)), 1.01, 1e-9).shape == (0, 3)
 
 
 def test_retries_stop_at_max_squarings(monkeypatch):

@@ -68,7 +68,7 @@ def test_3x3_eigenvector_monotonic_in_bulk():
         config = GeneratorConfig(n=3, scale=scale, seed=11)
         mats = generate_batch(config, 0, 10_000)
         _, w0, _, ok = bulk.perron_batch(mats)
-        violated, ok2, _ = (x[0] for x in bulk.violation_flags(mats, w0, (1.01,), 1e-9))
+        violated, ok2 = (x[0] for x in bulk.violation_flags(mats, w0, (1.01,), 1e-9))
         assert np.all(ok) and np.all(ok2)
         assert not np.any(violated)
 
@@ -165,10 +165,10 @@ def test_random_matrix_flags_match_bulk_path(rng):
     config = GeneratorConfig(n=5, scale="discrete", seed=77)
     mats = generate_batch(config, 0, 300)
     _, w0, _, _ = bulk.perron_batch(mats)
-    violated, _, first = (x[0] for x in bulk.violation_flags(mats, w0, (1.01,), 1e-9))
+    violated, _ = (x[0] for x in bulk.violation_flags(mats, w0, (1.01,), 1e-9))
     # read every flag's witness as the batch path reports it
-    rows = np.flatnonzero(violated)
-    first[rows] = bulk.first_violations(mats, w0, first, rows, 1.01, 1e-9)
+    first = np.zeros((len(mats), 3), dtype=np.int64)
+    first[violated] = bulk.first_violations(mats[violated], 1.01, 1e-9)
     for t in range(300):
         report = check_monotonicity(generate(config, t), factor=1.01)
         assert report.monotonic == (not violated[t]), f"disagreement at ordinal {t}"

@@ -24,6 +24,8 @@ from pcmaudit.simulate import (
     _settled_over_cap,
     audit_population,
     histogram_csv_lines,
+    resolve_examples,
+    simulate_chunk,
 )
 
 
@@ -166,28 +168,29 @@ def test_min_example_tie_breaks_lexicographically():
     # in their last upper entry; the first row sorts lowest but has a higher CR
     mats = matrices_from_upper(3, np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 5.0],
                                             [2.0, 1.0, 4.0]]))
-    first = np.array([[1, 2, 3], [1, 3, 2], [2, 3, 1]])
-    w0 = bulk.perron_batch(mats)[1]
     cr = np.array([0.7, 0.5, 0.5])
     flagged = np.ones(3, dtype=bool)
-    example = _min_example(mats, w0, cr, flagged, first, 1.01, 1e-9)
-    assert example == MinCrExample((2.0, 1.0, 4.0), 0.5, 2, 3, 1)
+    example = _min_example(mats, cr, flagged)
+    assert example == MinCrExample((2.0, 1.0, 4.0), 0.5)
     # only flagged rows compete
     flagged[2] = False
-    example = _min_example(mats, w0, cr, flagged, first, 1.01, 1e-9)
-    assert example == MinCrExample((2.0, 1.0, 5.0), 0.5, 1, 3, 2)
+    example = _min_example(mats, cr, flagged)
+    assert example == MinCrExample((2.0, 1.0, 5.0), 0.5)
 
 
 def test_min_example_resolves_a_predicted_witness():
-    # a zero witness marks a flag from a predicted entry: the pick's
-    # row-major first drop is solved for, as the full scalar audit reports it
+    # the pick carries no witness; resolving it solves for the row-major
+    # first drop from the matrix alone, as the full scalar audit reports it
     mats = generate_batch(GeneratorConfig(6, "continuous", 5), 0, 64)
-    lam, w0, _, _ = bulk.perron_batch(mats)
+    lam = bulk.perron_batch(mats)[0]
     cr = _cr(lam, 6, default_random_index_table("continuous").lookup(6))
     violated = np.array([not check_monotonicity(generate(GeneratorConfig(6, "continuous", 5), t),
                                                 factor=1.01).monotonic for t in range(64)])
-    first = np.zeros((len(mats), 3), dtype=np.int64)
-    example = _min_example(mats, w0, cr, violated, first, 1.01, 1e-9)
+    hist = CrHistogram(beta=0.1)
+    hist.offer_min_example(_min_example(mats, cr, violated))
+    example = hist.min_cr_example
+    assert example.i is example.j is example.k is None
+    resolve_examples({1.01: hist}, 6, 1e-9)
     best = np.flatnonzero(violated)[np.argmin(cr[violated])]
     v = check_monotonicity(generate(GeneratorConfig(6, "continuous", 5), int(best)),
                            factor=1.01).violations[0]
@@ -240,7 +243,13 @@ def test_simulation_against_scalar_pipeline():
     example = hist.min_cr_example
     assert example.cr == pytest.approx(best[0], rel=1e-12)
     assert np.allclose(example.upper_entries, best[1], rtol=0)
+    assert all(type(v) is int for v in (example.i, example.j, example.k))
     assert (example.i, example.j, example.k) == (best[2], best[3], best[4])
+    # the run resolved that witness; its one chunk's result leaves it unset
+    ri = default_random_index_table("discrete").lookup(4)
+    chunk = simulate_chunk(config, 0, iterations, 0.1, 1.01, None, VIOLATION_MARGIN, ri)
+    assert chunk.min_cr_example.upper_entries == example.upper_entries
+    assert chunk.min_cr_example.i is chunk.min_cr_example.j is chunk.min_cr_example.k is None
 
 
 @pytest.mark.parametrize("n,scale", [(5, "discrete"), (9, "discrete"), (5, "continuous")])

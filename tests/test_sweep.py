@@ -12,7 +12,7 @@ from pcmaudit import (
     enumerate_n4_discrete,
 )
 from pcmaudit.generate import SAATY_VALUES
-from pcmaudit.simulate import CrHistogram
+from pcmaudit.simulate import CrHistogram, resolve_examples
 from pcmaudit.sweep import (
     TOTAL_MATRICES,
     ordinal_to_upper,
@@ -91,6 +91,9 @@ def test_sweep_finds_the_kinked_matrix_as_minimum():
     assert example is not None
     assert example.upper_entries == KINKED_UPPER
     assert example.cr == pytest.approx(0.4869, abs=0.0005)
+    # a chunk leaves the witness to its output
+    assert example.i is example.j is example.k is None
+    resolve_examples(window, 4, 1e-9)
     assert (example.i, example.j, example.k) == (1, 3, 4)
 
 
@@ -106,13 +109,25 @@ def test_enumerate_checkpoint_resume(tmp_path):
     path = tmp_path / "sweep.ckpt"
     kwargs = dict(beta=0.1, factors=[1.01], stride=400_000, cap=3.5)
     full = enumerate_n4_discrete(**kwargs)
+    example = full[1.01].min_cr_example
+    assert all(type(v) is int for v in (example.i, example.j, example.k))
 
-    # force a checkpoint after every chunk, then resume from a truncated copy
-    enumerate_n4_discrete(**kwargs, checkpoint_path=path, checkpoint_every=1)
     import json
 
+    # force a checkpoint after every chunk, then resume from a truncated
+    # copy; each progress call sees the checkpoint of the chunk before
+    written = []
+
+    def progress(done, total):
+        if path.exists():
+            written.append(json.loads(path.read_text())["histograms"]["1.01"])
+
+    enumerate_n4_discrete(**kwargs, checkpoint_path=path, checkpoint_every=1, progress=progress)
+    examples = [h["min_cr_example"] for h in written if h["min_cr_example"]]
+    assert examples and all(type(ex[v]) is int for ex in examples for v in "ijk")
     doc = json.loads(path.read_text())
     assert doc["completed_through"] == TOTAL_MATRICES
+    assert doc["histograms"]["1.01"]["min_cr_example"] == example.to_dict()
 
     from pcmaudit.sweep import ENUM_CHUNK, sweep_chunk as chunk_fn, write_checkpoint, _checkpoint_doc
 
@@ -125,6 +140,7 @@ def test_enumerate_checkpoint_resume(tmp_path):
                                            midpoint, partial))
     resumed = enumerate_n4_discrete(**kwargs, checkpoint_path=path, resume=True)
     assert resumed[1.01] == full[1.01]
+    assert json.loads(path.read_text()) == doc
 
 
 def test_resume_rejects_mismatched_config(tmp_path):
