@@ -81,16 +81,16 @@ three factors took 4.1 ms against 4.7 ms when compacting on every
 acceptance; on 4096-matrix blocks at one factor (n = 6 continuous, n = 9
 discrete) the lazy rule cost 1-3%.
 
-Blocks of fewer than ``CHORD_MIN_ROWS`` matrices skip the chord steps and are
-audited by squaring alone, all factors in one :func:`perron_batch` call per
-entry. The crossover is a count of matrices and barely moves with the number
-of factors, since both kernels batch the factors alike. Timing both kernels
-alternately (best of 25) on blocks of 32-256 matrices, at one factor and at
-three, put it near 32-40 matrices at n = 4 (sweep ordinals), 96 at n = 6 and
-48-64 at n = 9, all on the discrete scale; ``CHORD_MIN_ROWS`` stays above
-all of them.
+Block size. Every eigenvector block takes the chord steps. In small blocks
+numpy's per-call cost outweighs the arithmetic, so a block that skips the
+predicted-entry stage and whose (column, entry) pairs fit in ``AUDIT_BLOCK``
+solves them all in one :func:`_pair_scan` call, with no early exit. Against
+the squaring scan that took blocks under 128 matrices before (best of 5 over
+20 blocks of 1-127 per case, 1 or 3 factors, 2 vCPUs) it took 0.11-0.83 of
+the time at n >= 4, 1.03 for one matrix at n = 9 and 3 factors, and up to
+1.28 (0.12 ms) at n = 3; fig4's under-cap blocks, a quarter to a fifth.
 
-Predicted entry. In a chord block at n >= ``PREDICT_MIN_N`` whose columns
+Predicted entry. In a block at n >= ``PREDICT_MIN_N`` whose columns
 mostly flag, the early-exit scan does not walk the upper entries in
 row-major order; it solves first, for each column, the entry predicted to
 flag it. The w-block M of the bordered inverse maps w0 to zero (the
@@ -165,18 +165,14 @@ of its time, and sends fig4 at n = 7, where it halves that time, to the
 stage; blocks of 1500 columns and more at a share of 0.25-0.35 pay up to
 about 10% for that. n <= 4, which is the sweep, keeps the row-major scan at
 any share: with six upper entries the stage did not pay even where a third
-of the columns flag (fig2 at n = 4). So do blocks under ``CHORD_MIN_ROWS``
-(a fig4 run at n >= 8 audits only a few under-cap matrices per chunk) and
-the full scan below.
+of the columns flag (fig2 at n = 4).
 
-Full scan. The early-exit scan drops a column at its first flag, all that
-:func:`violation_flags` needs. Its one other caller, the scalar
-audit in :mod:`pcmaudit.monotonic`, reports every violating (i, j, k), so the
-scan has a full mode with no early exit: it returns the perturbed weights,
-``ok`` and drop bits over k of every (factor, matrix, upper entry). There the
-block is one matrix, so each entry takes one :func:`perron_batch` call.
-Every audit and entry point checks its factors and margin with
-:func:`audit_factors`, the one rule for both.
+Full scan. :func:`_full_scan` solves every upper entry of every column by
+squaring, or by the geometric mean, with no early exit. The scalar audit in
+:mod:`pcmaudit.monotonic` reports every violating (i, j, k) from it, and
+:func:`violation_flags` applies its failure rule to it for the geometric
+mean, which never flags, so no early exit is lost. Every audit and entry
+point checks its factors and margin with :func:`audit_factors`.
 
 Witness. Each output reports, per factor, the row-major first drop
 (i, j, k) of its lowest-CR flagged matrix, read by :func:`first_violations`
@@ -185,7 +181,7 @@ squaring, as the full scan does, so the witness is the first record of
 :func:`pcmaudit.monotonic.check_monotonicity`, whichever scan flagged the
 matrix. One matrix takes about 0.3 ms at n = 4 and 0.4 ms at n = 9 (2
 vCPUs, numpy 2.4.6). Chord steps would add a batched inverse, and memory,
-to processes that invert nothing else (a fan-out's parent, fig4 at n = 9).
+to a fan-out's parent, which inverts nothing else.
 """
 
 from __future__ import annotations
@@ -208,12 +204,7 @@ CHORD_STEPS = 12
 # Matrices per audit block (each brings one column per factor) and per block
 # of the base solve's squarings; bounds the working sets of both.
 AUDIT_BLOCK = 4096
-# Blocks with fewer matrices are audited by squaring alone: below about 40
-# (n = 4) to 96 (n = 6) matrices, whether audited at one factor or three, the
-# chord steps' fixed cost per call exceeds that of the squaring solves they
-# replace.
-CHORD_MIN_ROWS = 128
-# Chord blocks of matrices this size and up solve each column's predicted
+# Blocks of matrices this size and up solve each column's predicted
 # entry first, where a sample of about PREDICT_SAMPLE of their columns
 # estimates that at least PREDICT_MIN_SHARE of them flag; see the module
 # docstring.
@@ -365,10 +356,11 @@ def violation_flags(
     the Perron vectors of ``mats``. A matrix is flagged at f when any
     converged perturbed solve flags it; it is a failure at f only when none
     does and some solve did not converge. That rule does not depend on the
-    order in which entries are solved, and a matrix flagged at f is not
-    solved further at f. Returns ``(violated, ok)``, booleans of shape
-    (F, B) indexed by factor first, ``ok`` False for failures. A flagged
-    matrix's witness is read by :func:`first_violations`.
+    order in which entries are solved. The eigenvector method runs on the
+    chord scan, where a matrix flagged at f is not solved further at f, and
+    the row geometric mean on the full scan. Returns ``(violated, ok)``,
+    booleans of shape (F, B) indexed by factor first, ``ok`` False for
+    failures. A flagged matrix's witness is read by :func:`first_violations`.
     """
     mats = np.asarray(mats, dtype=float)
     w0 = np.asarray(w0, dtype=float)
@@ -377,10 +369,15 @@ def violation_flags(
     f, b = factors.size, mats.shape[0]
     violated = np.zeros((f, b), dtype=bool)
     ok = np.ones((f, b), dtype=bool)
-    # blocks bound the chord kernel's working set
+    # blocks bound the working set of either scan
     for lo in range(0, b, AUDIT_BLOCK):
         block = slice(lo, lo + AUDIT_BLOCK)
-        got = _audit_block(mats[block], w0[block], factors, 1.0 - margin, use_eigen, rtol)
+        if use_eigen:
+            got = _audit_block(mats[block], w0[block], factors, 1.0 - margin, rtol)
+        else:
+            _, ok1, drops = _full_scan(mats[block], w0[block], factors, 1.0 - margin, False, rtol)
+            hit = drops.any(axis=(0, 2))
+            got = hit, hit | ok1.all(axis=0)
         for out, cols in zip((violated, ok), got):
             out[:, block] = cols.reshape(f, -1)
     return violated, ok
@@ -408,58 +405,56 @@ def first_violations(mats: np.ndarray, factor: float, margin: float) -> np.ndarr
     return np.where(worse.any(axis=1)[:, None], np.stack([iu[e], ju[e], k], axis=1) + 1, 0)
 
 
-def _audit_block(mats, w0, factors, thresh, use_eigen, rtol, full=False):
-    """The entry scan over one block; column c is matrix c % B at factor
-    ``factors[c // B]``.
-
-    By default a column leaves the scan at its first flag, and the flat
-    (F*B,) ``violated`` and ``ok`` of :func:`violation_flags` are returned.
-    Chord blocks at n >= ``PREDICT_MIN_N`` whose columns mostly flag
-    (:func:`_mostly_flagged`) solve each column's predicted entry first
-    (:func:`_predicted_scan`); the others scan the entries in row-major
-    order. With ``full`` no column
-    leaves, and per upper entry e (row-major) and column come the perturbed
-    weights ``w1`` (E, F*B, n), the solves' ``ok`` (E, F*B) and the
-    ``drops`` (E, F*B, n) over k. A failed solve leaves its last iterate, and
-    no drops.
+def _audit_block(mats, w0, factors, thresh, rtol):
+    """The chord scan of one block: the flat (F*B,) ``violated`` and ``ok``
+    of :func:`violation_flags`, column c being matrix c % B at factor
+    ``factors[c // B]``. Blocks at n >= ``PREDICT_MIN_N`` whose columns mostly
+    flag take :func:`_predicted_scan`, blocks whose (column, entry) pairs fit
+    in one call :func:`_pair_scan`; the others scan the entries in row-major
+    order, a column leaving at its first flag.
     """
-    b, n, _ = mats.shape
-    col_mat = np.tile(np.arange(b), factors.size)
-    chord = _ChordSolver(mats, w0, factors) if use_eigen and b >= CHORD_MIN_ROWS else None
-    w0 = w0[col_mat]
-    if chord is not None and n >= PREDICT_MIN_N and not full and _mostly_flagged(chord, thresh):
+    n = mats.shape[1]
+    chord = _ChordSolver(mats, w0, factors)
+    w0 = np.tile(w0, (factors.size, 1))
+    if n >= PREDICT_MIN_N and _mostly_flagged(chord, thresh):
         return _predicted_scan(chord, w0, thresh, rtol)
-    entries = list(itertools.combinations(range(n), 2))
-    col_fac = np.repeat(factors, b)
-    violated = np.zeros(col_mat.size, dtype=bool)
-    failed = np.zeros(col_mat.size, dtype=bool)
-    if full:
-        shape = (len(entries), col_mat.size)
-        scan = np.empty(shape + (n,)), np.zeros(shape, bool), np.zeros(shape + (n,), bool)
-    for e, (i, j) in enumerate(entries):
-        # only the early-exit scan ever sets `violated`
+    if len(w0) * (n * (n - 1) // 2) <= AUDIT_BLOCK:  # every pair in one chord call
+        violated, failed = _pair_scan(chord, w0, chord.cols, thresh, rtol)
+        return violated, violated | ~failed
+    violated, failed = np.zeros((2, len(w0)), dtype=bool)
+    for i, j in itertools.combinations(range(n), 2):
         active = np.flatnonzero(~violated)
         if active.size == 0:
             break
-        if not use_eigen:
-            w1 = rgm_batch(_perturbed(mats, col_mat[active], i, j, col_fac[active]))
-            ok1 = np.ones(active.size, dtype=bool)
-        elif chord is not None:
-            w1, ok1 = chord.solve(active, i, j, rtol)
+        w1, ok1 = chord.solve(active, i, j, rtol)
+        failed[active[~ok1]] = True
+        active = active[ok1]
+        violated[active[np.any(_drops(w0[active], w1[ok1], i, thresh), axis=1)]] = True
+    return violated, violated | ~failed
+
+
+def _full_scan(mats, w0, factors, thresh, use_eigen, rtol):
+    """The scan with no early exit: one :func:`perron_batch` (or
+    :func:`rgm_batch`) call per upper entry e, row-major, over all F*B
+    columns, column c being matrix c % B at factor ``factors[c // B]``.
+    Returns the perturbed weights ``w1`` (E, F*B, n), the solves' ``ok``
+    (E, F*B) and ``drops`` (E, F*B, n) over k; a failed solve leaves its last
+    iterate, and no drops."""
+    b, n, _ = mats.shape
+    col_mat = np.tile(np.arange(b), factors.size)
+    w0 = w0[col_mat]
+    entries = list(itertools.combinations(range(n), 2))
+    shape = (len(entries), col_mat.size)
+    w1, ok, drops = np.empty(shape + (n,)), np.ones(shape, bool), np.zeros(shape + (n,), bool)
+    for e, (i, j) in enumerate(entries):
+        pert = _perturbed(mats, col_mat, i, j, np.repeat(factors, b))
+        if use_eigen:
+            _, w1[e], _, ok[e] = perron_batch(pert, rtol=rtol)
         else:
-            _, w1, _, ok1 = perron_batch(
-                _perturbed(mats, col_mat[active], i, j, col_fac[active]), rtol=rtol)
-        if full:
-            scan[0][e], scan[1][e] = w1, ok1
-        else:
-            failed[active[~ok1]] = True
-        active, w1 = active[ok1], w1[ok1]
-        worse = _drops(w0[active], w1, i, thresh)
-        if full:
-            scan[2][e, active] = worse
-            continue
-        violated[active[np.any(worse, axis=1)]] = True
-    return scan if full else (violated, violated | ~failed)
+            w1[e] = rgm_batch(pert)
+        good = np.flatnonzero(ok[e])
+        drops[e, good] = _drops(w0[good], w1[e, good], i, thresh)
+    return w1, ok, drops
 
 
 def _drops(w0: np.ndarray, w1: np.ndarray, i, thresh: float) -> np.ndarray:
@@ -473,7 +468,7 @@ def _drops(w0: np.ndarray, w1: np.ndarray, i, thresh: float) -> np.ndarray:
 
 
 def _predicted_scan(chord, w0, thresh, rtol):
-    """The early-exit scan of a chord block, predicted entry first.
+    """The early-exit chord scan of a block, predicted entry first.
 
     One chord call solves each column at the entry :func:`_predict_entries`
     names. The columns it does not flag go to :func:`_pair_scan`, which
@@ -495,10 +490,10 @@ def _predicted_scan(chord, w0, thresh, rtol):
     return violated, violated | ok
 
 
-def _pair_scan(chord, w0, cols, thresh, rtol, skip):
+def _pair_scan(chord, w0, cols, thresh, rtol, skip=None):
     """Solve every upper entry of each of the sorted held columns ``cols``
     as (column, entry) pairs, at most ``AUDIT_BLOCK`` pairs per chord call;
-    ``skip`` names one entry per column to leave out.
+    ``skip``, if given, names one entry per column to leave out.
 
     ``w0`` holds the unperturbed weights of every column. Returns, per
     column, whether some converged solve flagged it and whether some solve
@@ -508,8 +503,9 @@ def _pair_scan(chord, w0, cols, thresh, rtol, skip):
     iu, ju = np.triu_indices(n, 1)
     pair_col = np.repeat(np.arange(cols.size), iu.size)
     pair_e = np.tile(np.arange(iu.size), cols.size)
-    keep = pair_e != skip[pair_col]
-    pair_col, pair_e = pair_col[keep], pair_e[keep]
+    if skip is not None:
+        keep = pair_e != skip[pair_col]
+        pair_col, pair_e = pair_col[keep], pair_e[keep]
     violated = np.zeros(cols.size, dtype=bool)
     failed = np.zeros(cols.size, dtype=bool)
     for lo in range(0, pair_col.size, AUDIT_BLOCK):

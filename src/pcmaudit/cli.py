@@ -189,6 +189,8 @@ def cmd_audit(args) -> int:
 
 def cmd_gen(args) -> int:
     config = GeneratorConfig(n=args.n, scale=args.scale, seed=args.seed)
+    if args.count < 1:
+        raise ValidationError(f"count must be at least 1, got {args.count}")
     if args.out is None:
         for ordinal in range(args.count):
             sys.stdout.write(generate(config, ordinal).to_text())

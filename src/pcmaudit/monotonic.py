@@ -11,8 +11,8 @@ decrease.
 Only upper entries are raised; no lower entry is raised and none is lowered.
 So a flag can depend on how the alternatives are numbered: relabelling can
 turn a violating upper entry into a lower one, which is not audited. The
-solves and the drop test run on :mod:`pcmaudit.bulk`'s entry scan, the one
-behind ``simulate`` and ``enumerate``, here with no early exit.
+solves and the drop test run on :mod:`pcmaudit.bulk`'s full scan, one
+squaring solve per upper entry over all factors, with no early exit.
 """
 
 from __future__ import annotations
@@ -121,9 +121,8 @@ def _audit(a, factors, method, margin) -> list[MonotonicityReport]:
     # as in eigenvector_method: squarings that overflow leave values that fail
     # the residual test and raise below, so numpy need not warn about them
     with np.errstate(all="ignore"):
-        w1, ok, drops = bulk._audit_block(
-            a.entries[None], w0[None], np.array(factors, dtype=float), 1.0 - margin,
-            eigen, RESIDUAL_RTOL, full=True)
+        w1, ok, drops = bulk._full_scan(
+            a.entries[None], w0[None], np.array(factors), 1.0 - margin, eigen, RESIDUAL_RTOL)
         for f, e in np.argwhere(~ok.T)[:1]:  # the first failure, factor-major
             i, j = entries[e]
             pert = bulk._perturbed(a.entries[None], np.zeros(1, int), i - 1, j - 1, factors[f])

@@ -133,12 +133,14 @@ def enumerate_n4_discrete(
     With ``checkpoint_path`` set, partial results are flushed at least every
     ``checkpoint_every`` ordinals; ``resume=True`` continues from such a file
     provided its configuration matches. ``progress`` is called after every
-    chunk, in ordinal order. ``workers`` must be at least 1 and is capped at
-    the CPU count.
+    chunk, in ordinal order. ``checkpoint_every`` and ``workers`` must be at
+    least 1, and ``workers`` is capped at the CPU count.
     """
     factors = audit_factors(factors, margin)
     if stride < 1:
         raise ValidationError(f"stride must be at least 1, got {stride}")
+    if checkpoint_every < 1:
+        raise ValidationError(f"checkpoint_every must be at least 1, got {checkpoint_every}")
 
     hists = {f: CrHistogram(beta=beta, cap=cap) for f in factors}
     start = 0

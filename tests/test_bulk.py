@@ -18,7 +18,8 @@ from conftest import STALLED_UPPER
 from pcmaudit import GeneratorConfig, build_matrix, bulk
 from pcmaudit.consistency import default_random_index_table
 from pcmaudit.errors import ValidationError
-from pcmaudit.generate import generate_batch
+from pcmaudit.generate import SAATY_VALUES, generate_batch
+from pcmaudit.matrix import matrices_from_upper
 
 FACTORS = (1.001, 1.01, 1.1)
 
@@ -115,11 +116,11 @@ def test_one_call_over_all_factors_matches_squaring(n, scale):
 @pytest.mark.parametrize("n", range(3, 10))
 def test_full_scan_matches_squaring_bit_for_bit(n, scale):
     # every entry of every matrix at every factor, with no early exit: the
-    # scalar audit's path, on a block small enough to skip the chord steps
-    mats, w0 = _population(n, scale, bulk.CHORD_MIN_ROWS - 1)
+    # scalar audit's path
+    mats, w0 = _population(n, scale, 127)
     b = len(mats)
-    w1, ok, drops = bulk._audit_block(
-        mats, w0, np.array(FACTORS), 1.0 - 1e-9, True, bulk.RESIDUAL_RTOL, full=True)
+    w1, ok, drops = bulk._full_scan(
+        mats, w0, np.array(FACTORS), 1.0 - 1e-9, True, bulk.RESIDUAL_RTOL)
     assert ok.all()
     for f, factor in enumerate(FACTORS):
         cols = slice(f * b, (f + 1) * b)
@@ -131,14 +132,18 @@ def test_full_scan_matches_squaring_bit_for_bit(n, scale):
         np.testing.assert_array_equal(drops[:, cols].any(axis=(0, 2)), violated)
 
 
+def _with_counterexample(kinked_matrix, rows):
+    """A block of ``rows`` matrices, the counterexample first and random
+    4x4 matrices after it, and its Perron vectors."""
+    mats = np.concatenate([kinked_matrix.entries[None], _population(4, "discrete")[0][:rows - 1]])
+    return mats, bulk.perron_batch(mats)[1]
+
+
 # the dip at entry (1, 3) is narrow: a 10% step jumps over it
 @pytest.mark.parametrize("factor, flagged", [(1.001, True), (1.01, True), (1.1, False)])
-@pytest.mark.parametrize("min_rows", [1, bulk.CHORD_MIN_ROWS])
-def test_chord_flags_match_squaring_on_counterexample(
-        monkeypatch, kinked_matrix, min_rows, factor, flagged):
-    monkeypatch.setattr(bulk, "CHORD_MIN_ROWS", min_rows)
-    mats = kinked_matrix.entries[None]
-    _, w0, _, _ = bulk.perron_batch(mats)
+@pytest.mark.parametrize("rows", [1, 128])
+def test_chord_flags_match_squaring_on_counterexample(kinked_matrix, rows, factor, flagged):
+    mats, w0 = _with_counterexample(kinked_matrix, rows)
     got = _one(bulk.violation_flags(mats, w0, (factor,), 1e-9))
     want = squaring_scan(mats, w0, factor, 1e-9)
     _assert_same(got, want)
@@ -146,21 +151,53 @@ def test_chord_flags_match_squaring_on_counterexample(
     assert got[0][0] == flagged
 
 
-@pytest.mark.parametrize("min_rows", [1, bulk.CHORD_MIN_ROWS])
-def test_counterexample_in_one_call(monkeypatch, kinked_matrix, min_rows):
-    monkeypatch.setattr(bulk, "CHORD_MIN_ROWS", min_rows)
-    mats = kinked_matrix.entries[None]
-    _, w0, _, _ = bulk.perron_batch(mats)
+@pytest.mark.parametrize("rows", [1, 128])
+def test_counterexample_in_one_call(kinked_matrix, rows):
+    mats, w0 = _with_counterexample(kinked_matrix, rows)
     violated, ok = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
     assert ok.all()
     assert violated[:, 0].tolist() == [True, True, False]
-    first = [bulk.first_violations(mats, f, 1e-9)[0].tolist() for f in FACTORS]
+    first = [bulk.first_violations(mats[:1], f, 1e-9)[0].tolist() for f in FACTORS]
     assert first == [[1, 3, 4], [1, 3, 4], [0, 0, 0]]
 
 
+def _low_cr_population(n, count=2048):
+    """Matrices under CR 0.4 and their Perron vectors. Uniform draws at
+    n >= 8 hold too few of them (a fig4 run at n = 9 audits a few per
+    16,384), so these are drawn near consistency: each upper entry is
+    w_i/w_j times a log-normal factor (sigma 1), snapped to the discrete
+    scale, and the draws at CR 0.4 and above are dropped."""
+    rng = np.random.default_rng(n)
+    iu, ju = np.triu_indices(n, 1)
+    logw = rng.uniform(-1.5, 1.5, size=(count, n))
+    target = logw[:, iu] - logw[:, ju] + rng.normal(0.0, 1.0, size=(count, iu.size))
+    scale = np.log(SAATY_VALUES)
+    mats = matrices_from_upper(n, SAATY_VALUES[np.abs(target[..., None] - scale).argmin(axis=-1)])
+    lam, w0, _, ok = bulk.perron_batch(mats)
+    assert ok.all()
+    ri = 0.58 if n == 3 else default_random_index_table("discrete").lookup(n)  # Saaty's RI_3
+    keep = (lam - n) / (n - 1) / ri < 0.4
+    return mats[keep], w0[keep]
+
+
+@pytest.mark.parametrize("low_cr", [False, True])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_small_chord_blocks_match_squaring(n, low_cr):
+    # blocks of the sizes a fig4 run hands the audit at n >= 8, and under,
+    # from every matrix or from those under CR 0.4, all factors in one call
+    mats, w0 = _low_cr_population(n) if low_cr else _population(n, "discrete")
+    lo = 0
+    for rows in (1, 5, 64, 127):
+        block = slice(lo, lo + rows)
+        lo += rows
+        assert len(mats[block]) == rows
+        got = bulk.violation_flags(mats[block], w0[block], FACTORS, 1e-9)
+        for f, factor in enumerate(FACTORS):
+            _assert_same(_one(got, f), squaring_scan(mats[block], w0[block], factor, 1e-9))
+
+
 def test_audit_blocks_do_not_change_flags(monkeypatch):
-    # blocks of 300, 300, 300 and 100 matrices; the last one is below
-    # CHORD_MIN_ROWS and is audited by squaring alone
+    # blocks of 300, 300, 300 and 100 matrices
     mats, w0 = _population(6, "discrete", 1000)
     want = bulk.violation_flags(mats, w0, (1.01,), 1e-9)
     monkeypatch.setattr(bulk, "AUDIT_BLOCK", 300)
@@ -194,11 +231,12 @@ def test_prediction_only_orders_the_work(monkeypatch, n, scale):
 
 @pytest.mark.parametrize("n, predicted", [(4, False), (6, False), (6, True)])
 def test_a_failed_solve_does_not_hide_a_flag_at_another_entry(monkeypatch, n, predicted):
-    # every solve at entry (1, 2) fails, in the row-major scan (n = 4) and
-    # in the predicted-entry scan (n = 6), there also as the predicted entry:
-    # a matrix flagged at another entry is flagged, and only a matrix that
-    # no converged solve flags is a failure
-    mats, w0 = _population(n, "discrete", 512)
+    # every solve at entry (1, 2) fails, in the row-major scan (n = 4, a
+    # block too large for one pair call) and in the predicted-entry scan
+    # (n = 6), there also as the predicted entry: a matrix flagged at another
+    # entry is flagged, and only a matrix that no converged solve flags is a
+    # failure
+    mats, w0 = _population(n, "discrete", 1024)
     _, _, drops = squaring_scan(mats, w0, 1.01, 1e-9, full=True)
     violated = drops[1:].any(axis=(0, 2))
     assert violated.any() and not violated.all()
@@ -227,7 +265,6 @@ def test_predicted_stage_runs_where_most_columns_flag(monkeypatch):
     lam = bulk.perron_batch(mats)[0]
     ri = default_random_index_table("discrete").lookup(5)
     low = np.flatnonzero((lam - 5) / 4 / ri < 0.4)
-    assert low.size >= bulk.CHORD_MIN_ROWS
     calls = []
     scan = bulk._predicted_scan
     monkeypatch.setattr(bulk, "_predicted_scan", lambda *args: calls.append(1) or scan(*args))
@@ -255,8 +292,7 @@ def test_one_inverse_per_block_whatever_the_factors(monkeypatch):
     for factors in ((1.01,), FACTORS):
         inverted.clear()
         bulk.violation_flags(mats, w0, factors, 1e-9)
-        # the tail block of 100 matrices is below CHORD_MIN_ROWS
-        assert inverted == [300, 300, 300], factors
+        assert inverted == [300, 300, 300, 100], factors
 
 
 @pytest.mark.parametrize("factors", [1.01, ()])
@@ -303,7 +339,8 @@ def test_n9_audit_at_factor_101_needs_no_fallback(monkeypatch):
 
 @pytest.mark.parametrize("n, factor", [(4, 1.1), (9, 1.01)])
 def test_squaring_fallback_alone_gives_the_same_flags(monkeypatch, n, factor):
-    mats, w0 = _population(n, "discrete", 512)
+    # 1024 matrices: too many (column, entry) pairs for one call at n = 4
+    mats, w0 = _population(n, "discrete", 1024)
     want = squaring_scan(mats, w0, factor, 1e-9)
     monkeypatch.setattr(bulk, "CHORD_STEPS", 0)
     _assert_same(_one(bulk.violation_flags(mats, w0, (factor,), 1e-9)), want)
@@ -312,12 +349,14 @@ def test_squaring_fallback_alone_gives_the_same_flags(monkeypatch, n, factor):
 
 def test_unreachable_tolerance_fails_every_row():
     # a chord iterate can reach a residual of exactly 0.0 in floating point,
-    # so only a negative tolerance is out of reach for every row
-    mats, w0 = _population(5, "discrete", 256)
-    violated, ok = _one(bulk.violation_flags(mats, w0, (1.01,), 1e-9, rtol=-1.0))
-    assert not ok.any()
-    assert not violated.any()
-    _assert_same((violated, ok), squaring_scan(mats, w0, 1.01, 1e-9, rtol=-1.0))
+    # so only a negative tolerance is out of reach for every row; at n = 5
+    # the block takes the predicted-entry stage, at n = 4 one pair call
+    for n in (5, 4):
+        mats, w0 = _population(n, "discrete", 256)
+        violated, ok = _one(bulk.violation_flags(mats, w0, (1.01,), 1e-9, rtol=-1.0))
+        assert not ok.any()
+        assert not violated.any()
+        _assert_same((violated, ok), squaring_scan(mats, w0, 1.01, 1e-9, rtol=-1.0))
 
 
 def test_empty_batch():

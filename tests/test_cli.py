@@ -249,6 +249,9 @@ ENUMERATE = ["enumerate", "--stride", "1000000"]
     ["audit", "KINKED", "--margin", "2"],
     ["audit", "KINKED", "--factors", "1.01,1.01"],
     ["audit", "KINKED", "--factors", ","],
+    ENUMERATE + ["--beta", "0.1", "--factors", "1.01", "--checkpoint-every", "-5"],
+    ["gen", "--n", "4", "--scale", "discrete", "--seed", "1", "--count", "0"],
+    ["gen", "--n", "4", "--scale", "discrete", "--seed", "1", "--count", "-3"],
 ])
 def test_bad_parameters_exit_2(argv, kinked_file, capsys):
     argv = [kinked_file if a == "KINKED" else a for a in argv]

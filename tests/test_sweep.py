@@ -161,5 +161,8 @@ def test_enumerate_parameter_validation():
         enumerate_n4_discrete(0.1, [1.01, 1.01])
     with pytest.raises(ValidationError):
         enumerate_n4_discrete(0.1, [1.01], stride=0)
+    for every in (0, -5):
+        with pytest.raises(ValidationError, match="checkpoint_every"):
+            enumerate_n4_discrete(0.1, [1.01], stride=1_000_000, checkpoint_every=every)
     with pytest.raises(ConfigurationError):
         enumerate_n4_discrete(0.1, [1.01], resume=True)
