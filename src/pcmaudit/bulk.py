@@ -63,6 +63,31 @@ at factor 1.001, 3-5 at 1.01 and 4-9 at 1.1, with n = 4 needing the most.
 Rows not accepted within ``CHORD_STEPS`` steps fall back to squaring on an
 explicit perturbed copy.
 
+Inverse. :func:`_bordered_inverse` builds M by Gauss-Jordan elimination on
+J = [[A - lam0 I, -w0], [1^T, 0]], vectorized over columns in the
+(n, n, B) layout that the steps read. Its pivot order is fixed: rows
+0..n-2, then the border row, then row n-1, whose own pivot would be the
+zero of the singular block. No row exchange is needed. lam0 I - A is a
+singular irreducible M-matrix, so its leading principal blocks are
+nonsingular M-matrices, with positive pivots and nonnegative inverses (A.
+Berman and R. J. Plemmons, *Nonnegative Matrices in the Mathematical
+Sciences*, SIAM 1994, ch. 6; R. E. Funderlic and R. J. Plemmons, Linear
+Algebra Appl. 41, 1981), and the first n-1 pivots of J are their
+negatives. Eliminating the border row against those rows leaves the pivot
+1 + 1^T (lam0 I - A_11)^-1 a, with A_11 the leading n-1 block of A and
+a > 0 the first n-1 entries of its column n-1, so that pivot is at least
+1. The last pivot is nonzero, as J is nonsingular. Over 4096 matrices per
+case at n = 2..9, on both scales and for consistent matrices, the first
+n-1 pivots were at most -0.94, the border pivots at least 1.10 and the last
+ones 0.10-14.1 in magnitude, and M agreed with LAPACK's to 1e-14 of its
+largest entry. Its accuracy decides no flag: an iterate is accepted only
+under the residual test, so M sets the number of steps and the predicted
+entry (below), not the result. numpy's batched inverse makes one LAPACK
+call per matrix; against it, with the (B, n+1, n+1) Jacobian it needs and
+the transposed copy of its result, 4096 matrices took 6 ms against 12-20 ms
+at n = 9, 2.0 against 6.6 at n = 6 and 1.0 against 3.9 at n = 4 (2 vCPUs,
+numpy 2.4.6). A block of 1-10 matrices takes about 0.1 ms more.
+
 All factors share one scan. Within a block of B matrices the scan runs over
 F*B (matrix, factor) columns, column c being matrix c % B at factor
 ``factors[c // B]``: the inverse is computed once per matrix and tiled to
@@ -101,8 +126,8 @@ M[:, j], whatever its lam. With G[p, q] = M[p, q] / w0_p, alpha = d_ij w0_j
 and beta = d_ji w0_i, that step moves ln(w_i/w_k) by alpha (G_ki - G_ii) +
 beta (G_kj - G_ij): O(n) per (entry, k), and no solve.
 :func:`_predict_entries` picks, per column, the entry whose move is the most
-negative over k, in slabs of ``PREDICT_SLAB`` columns, which keeps its
-temporaries below those of the inverse. One chord call solves every column
+negative over k, in slabs of ``SLAB`` columns, which bounds its
+temporaries. One chord call solves every column
 at its own entry. The columns it does not flag go to :func:`_pair_scan`,
 which solves all their other entries at once as (column, entry) pairs, at
 most ``AUDIT_BLOCK`` pairs per call. The prediction only orders the work:
@@ -211,8 +236,9 @@ AUDIT_BLOCK = 4096
 PREDICT_MIN_N = 5
 PREDICT_SAMPLE = 256
 PREDICT_MIN_SHARE = 0.25
-# Columns per slab of the entry prediction; bounds its temporaries.
-PREDICT_SLAB = 1024
+# Columns per slab of the entry prediction and of the bordered inverse;
+# bounds their temporaries, which at n = 9 then fit a 2 MB cache.
+SLAB = 1024
 
 
 # Accepted spellings of each weighting method, mapped to its canonical name.
@@ -530,10 +556,10 @@ def _mostly_flagged(chord, thresh: float) -> bool:
 def _predict_entries(chord) -> np.ndarray:
     """Per held column, the row-major index of the upper entry whose first
     chord iterate lowers some ln(w_i/w_k) the most (module docstring), in
-    slabs of ``PREDICT_SLAB`` columns."""
+    slabs of ``SLAB`` columns."""
     pick = np.empty(chord.cols.size, dtype=np.intp)
-    for lo in range(0, pick.size, PREDICT_SLAB):
-        cols = slice(lo, lo + PREDICT_SLAB)
+    for lo in range(0, pick.size, SLAB):
+        cols = slice(lo, lo + SLAB)
         pick[cols] = np.argmin(_first_moves(chord, cols), axis=0)
     return pick
 
@@ -597,19 +623,55 @@ def _perturbed_residual(aw, w, ri, rj, d_ij, d_ji) -> tuple[np.ndarray, np.ndarr
     return aw - lam * w, lam
 
 
+def _bordered_inverse(mats_t: np.ndarray, w0_t: np.ndarray, lam0: np.ndarray) -> np.ndarray:
+    """The w-block M (n, n, B) of the inverse of each column's bordered
+    Jacobian J = [[A - lam0 I, -w0], [1^T, 0]], from the (n, n, B) stack A,
+    the (n, B) stack w0 and the (B,) lam0.
+
+    Gauss-Jordan elimination inverts J with its last two rows swapped,
+    pivoting down the diagonal with no row exchanges (module docstring), in
+    slabs of ``SLAB`` columns. Swapping two rows of J swaps the same two
+    columns of its inverse, so M is the inverse's first n rows at columns
+    0..n-2 and n.
+    """
+    n, _, b = mats_t.shape
+    rows = np.append(np.arange(n - 1), n)  # where rows 0..n-1 of J go
+    out = np.empty((n, n, b))
+    for lo in range(0, b, SLAB):
+        cols = slice(lo, lo + SLAB)
+        x = np.empty((n + 1, n + 1) + lam0[cols].shape)
+        x[rows, :n] = mats_t[..., cols]
+        x[rows, range(n)] -= lam0[cols]
+        x[rows, n] = -w0_t[:, cols]
+        x[n - 1, :n], x[n - 1, n] = 1.0, 0.0
+        # in-place Gauss-Jordan: x ends as the inverse
+        tmp = np.empty_like(x)
+        for k in range(n + 1):
+            row = x[k] / x[k, k]
+            row[k] = 1.0 / x[k, k]
+            f = x[:, k].copy()
+            x[:, k] = 0.0
+            x -= np.multiply(f[:, None], row, out=tmp)
+            x[k] = row
+        out[:, :n - 1, cols] = x[:n, :n - 1]
+        out[:, n - 1, cols] = x[:n, n]
+    return out
+
+
 class _ChordSolver:
     """Perron vectors of single-entry perturbations of a block of matrices.
 
     Works on (matrix, factor) columns: for B matrices and F factors, column
     c is matrix c % B at factor ``factors[c // B]``. A w0 and the w-block of
     the inverse of the bordered Jacobian [[A - lam0 I, -w0], [1^T, 0]] are
-    computed once per matrix and, with A, tiled to the columns in (n, n, F*B)
-    layout. The held columns shrink with the audit's active set, so every
-    step works on contiguous arrays.
+    computed once per matrix, the inverse by :func:`_bordered_inverse`, and,
+    with A, tiled to the columns in (n, n, F*B) layout. The held columns
+    shrink with the audit's active set, so every step works on contiguous
+    arrays.
     """
 
     def __init__(self, mats: np.ndarray, w0: np.ndarray, factors: np.ndarray) -> None:
-        b, n, _ = mats.shape
+        b = len(mats)
         self.mats = mats
         self.cols = np.arange(factors.size * b)
         self.fac = np.repeat(factors, b)
@@ -617,14 +679,7 @@ class _ChordSolver:
         w0_t = np.ascontiguousarray(w0.T)
         aw0 = _matvec(mats_t, w0_t)
         lam0 = np.mean(aw0 / w0_t, axis=0)
-        jac = np.zeros((b, n + 1, n + 1))
-        jac[:, :n, :n] = mats
-        jac[:, range(n), range(n)] -= lam0[:, None]
-        jac[:, :n, n] = -w0
-        jac[:, n, :n] = 1.0
-        # the steps keep 1^T w fixed, so the last column is never needed
-        inv_t = np.ascontiguousarray(np.linalg.inv(jac)[:, :n, :n].transpose(1, 2, 0))
-        del jac  # before the copies below, which bounds the peak working set
+        inv_t = _bordered_inverse(mats_t, w0_t, lam0)
         # a copy per array costs a one-factor audit at n = 9 about 1.5%
         self.mats_t, self.w0, self.aw0, self.inv_t = (
             x if factors.size == 1 else np.tile(x, factors.size)

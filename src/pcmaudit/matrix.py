@@ -11,6 +11,7 @@ for judgment matrices; the underlying numpy array is 0-based as always.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -31,6 +32,9 @@ STORED_RECIPROCITY_RTOL = 1e-12
 
 # Default relative tolerance for the triple-product consistency test.
 CONSISTENCY_RTOL = 1e-9
+
+# Matrices assembled per block by matrices_from_upper; bounds its temporaries.
+ASSEMBLY_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -121,12 +125,39 @@ def build_matrix(n: int, upper_entries) -> PairwiseComparisonMatrix:
 
 
 def matrices_from_upper(n: int, upper: np.ndarray) -> np.ndarray:
-    """Assemble full reciprocal matrices (B, n, n) from upper triangles (B, m)."""
-    iu, ju = np.triu_indices(n, 1)
-    mats = np.ones((upper.shape[0], n, n))
-    mats[:, iu, ju] = upper
-    mats[:, ju, iu] = 1.0 / upper
+    """Assemble full reciprocal matrices (B, n, n) from upper triangles (B, m).
+
+    Each block of ``ASSEMBLY_BLOCK`` rows is one gather from the rows
+    [1, upper, 1 / upper]: it writes every entry once, where filling ones
+    and setting both triangles writes the off-diagonal entries twice.
+    """
+    upper = np.asarray(upper, dtype=float)
+    b, m = upper.shape
+    mats = np.empty((b, n, n))
+    flat = mats.reshape(b, n * n)
+    src = np.empty((min(b, ASSEMBLY_BLOCK), 1 + 2 * m))
+    src[:, 0] = 1.0
+    for lo in range(0, b, ASSEMBLY_BLOCK):
+        block = upper[lo:lo + ASSEMBLY_BLOCK]
+        part = src[:len(block)]
+        part[:, 1:m + 1] = block
+        np.divide(1.0, block, out=part[:, m + 1:])
+        # mode="clip" lets take write straight into `out`; every index is valid
+        np.take(part, _gather_index(n), axis=1, out=flat[lo:lo + len(block)], mode="clip")
     return mats
+
+
+@functools.lru_cache(maxsize=8)
+def _gather_index(n: int) -> np.ndarray:
+    """Where each entry of a row-major n x n matrix lies in the row
+    [1, upper, 1 / upper] of :func:`matrices_from_upper`."""
+    iu, ju = np.triu_indices(n, 1)
+    index = np.zeros((n, n), dtype=np.intp)
+    index[iu, ju] = 1 + np.arange(iu.size)
+    index[ju, iu] = 1 + iu.size + np.arange(iu.size)
+    index = index.ravel()
+    index.setflags(write=False)
+    return index
 
 
 def from_array(arr, reciprocity_rtol: float = PARSE_RECIPROCITY_RTOL) -> PairwiseComparisonMatrix:

@@ -283,16 +283,70 @@ def test_one_inverse_per_block_whatever_the_factors(monkeypatch):
     monkeypatch.setattr(bulk, "AUDIT_BLOCK", 300)
     inverted = []
 
-    def counting(a):
-        inverted.append(len(a))
-        return inv(a)
+    def counting(mats_t, w0_t, lam0):
+        inverted.append(mats_t.shape[-1])
+        return inverse(mats_t, w0_t, lam0)
 
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", counting)
+    def lapack(a):
+        raise AssertionError("the audit called np.linalg.inv")
+
+    inverse = bulk._bordered_inverse
+    monkeypatch.setattr(bulk, "_bordered_inverse", counting)
+    monkeypatch.setattr(np.linalg, "inv", lapack)
     for factors in ((1.01,), FACTORS):
         inverted.clear()
         bulk.violation_flags(mats, w0, factors, 1e-9)
         assert inverted == [300, 300, 300, 100], factors
+
+
+def _bordered_jacobian_inputs(n, kind, count):
+    """A, w0 and lam0 in column layout, as ``_ChordSolver`` passes them to
+    ``_bordered_inverse``, for ``count`` matrices drawn on a scale or, for
+    ``kind`` "consistent", built as w_i/w_j from random weights."""
+    if kind == "consistent":
+        w = np.random.default_rng(n).uniform(0.1, 1.0, size=(count, n))
+        iu, ju = np.triu_indices(n, 1)
+        mats = matrices_from_upper(n, w[:, iu] / w[:, ju])
+    else:
+        mats = generate_batch(GeneratorConfig(n, kind, 200 + n), 0, count)
+    _, w0, _, ok = bulk.perron_batch(mats)
+    assert ok.all()
+    mats_t = np.ascontiguousarray(mats.transpose(1, 2, 0))
+    w0_t = np.ascontiguousarray(w0.T)
+    lam0 = np.mean(bulk._matvec(mats_t, w0_t) / w0_t, axis=0)
+    return mats, w0, mats_t, w0_t, lam0
+
+
+@pytest.mark.parametrize("kind", ["discrete", "continuous", "consistent"])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_bordered_inverse_matches_lapack(n, kind):
+    # the elimination pivots with no row exchanges; against LAPACK's
+    # partial pivoting its w-block agrees to 1e-12 of each matrix's largest
+    # entry, and a zero or overflowing pivot would raise a RuntimeWarning,
+    # which the test configuration turns into an error
+    mats, w0, mats_t, w0_t, lam0 = _bordered_jacobian_inputs(n, kind, 4096)
+    jac = np.zeros((len(mats), n + 1, n + 1))
+    jac[:, :n, :n] = mats
+    jac[:, range(n), range(n)] -= lam0[:, None]
+    jac[:, :n, n] = -w0
+    jac[:, n, :n] = 1.0
+    want = np.linalg.inv(jac)[:, :n, :n].transpose(1, 2, 0)
+    for rows in (1, 3, 440, 4096):
+        got = bulk._bordered_inverse(mats_t[..., :rows], w0_t[:, :rows], lam0[:rows])
+        assert got.shape == (n, n, rows) and got.flags.c_contiguous
+        scale = np.max(np.abs(want[..., :rows]), axis=(0, 1))
+        assert np.all(np.max(np.abs(got - want[..., :rows]), axis=(0, 1)) <= 1e-12 * scale), rows
+
+
+@pytest.mark.parametrize("n", [4, 6, 9])
+def test_inverse_accuracy_sets_only_the_step_count(monkeypatch, n):
+    # an inverse off by 0.1% costs chord steps but moves no flag or ok bit:
+    # every accepted iterate passes the residual test of a base solve
+    mats, w0 = _population(n, "discrete")
+    want = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
+    inverse = bulk._bordered_inverse
+    monkeypatch.setattr(bulk, "_bordered_inverse", lambda *args: inverse(*args) * (1.0 + 1e-3))
+    _assert_same(bulk.violation_flags(mats, w0, FACTORS, 1e-9), want)
 
 
 @pytest.mark.parametrize("factors", [1.01, ()])

@@ -17,7 +17,7 @@ from pcmaudit import (
     parse_matrix,
     perturb,
 )
-from pcmaudit.matrix import read_matrix_file, write_matrix_file
+from pcmaudit.matrix import ASSEMBLY_BLOCK, matrices_from_upper, read_matrix_file, write_matrix_file
 
 from conftest import KINKED_UPPER, random_upper
 
@@ -150,6 +150,21 @@ def test_upper_triangle_round_trip(upper):
     assert np.array_equal(m.upper_triangle(), np.asarray(upper))
     again = build_matrix(5, m.upper_triangle())
     assert np.array_equal(again.entries, m.entries)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_matrices_from_upper_matches_two_triangle_writes(n):
+    # the gather assembles bit for bit what ones plus a write of each
+    # triangle did, in and across its blocks
+    iu, ju = np.triu_indices(n, 1)
+    rng = np.random.default_rng(n)
+    for b in (0, 1, ASSEMBLY_BLOCK - 1, ASSEMBLY_BLOCK, ASSEMBLY_BLOCK + 1):
+        upper = np.exp(rng.uniform(-3.0, 3.0, size=(b, iu.size)))
+        want = np.ones((b, n, n))
+        want[:, iu, ju] = upper
+        want[:, ju, iu] = 1.0 / upper
+        got = matrices_from_upper(n, upper)
+        assert np.array_equal(got, want) and got.flags.c_contiguous, b
 
 
 def test_content_digest_distinguishes_matrices(kinked_matrix):
