@@ -24,7 +24,10 @@ import hashlib
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import __version__
 from .consistency import (
@@ -60,6 +63,19 @@ ENUMERATE_PRESETS = {
 
 def _utcnow() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+
+
+def _environment() -> dict:
+    """The numpy version, the BLAS numpy was built against (name and
+    version, None where numpy does not report it as a dict, before 1.25) and
+    the CPU count. Byte-stable outputs rest on BLAS's products, the stacked
+    squarings of every Perron solve included."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):
+        blas = None
+    return {"numpy": np.__version__, "blas": blas, "cpu_count": os.cpu_count()}
 
 
 def run_id_for(command: str, config: dict) -> str:
@@ -98,6 +114,7 @@ class RunManifest:
             "finished": self.finished,
             "failures": self.failures,
             "outputs": self.outputs,
+            "environment": _environment(),
         }
 
     def write(self, path) -> None:
@@ -262,9 +279,20 @@ def cmd_enumerate(args) -> int:
              "stride": args.stride, "cap": args.cap, "margin": args.margin}
     manifest = RunManifest("enumerate", flags)
 
+    first = None  # (time, ordinals done) at the first report, which rates start from
+
     def progress(done: int, total: int) -> None:
-        if args.progress:
-            print(f"\r{done}/{total} ordinals", end="", flush=True, file=sys.stderr)
+        nonlocal first
+        now = time.monotonic()
+        if first is None:
+            first = now, done
+        line = f"{done}/{total} ordinals"
+        elapsed, covered = now - first[0], done - first[1]
+        if covered and elapsed > 0:
+            eta = datetime.timedelta(seconds=round((total - done) * elapsed / covered))
+            line += f", {covered / args.stride / elapsed:.0f} matrices/s, ETA {eta}"
+        # pad over the tail of a longer line before it
+        print(f"\r{line:<64}", end="", flush=True, file=sys.stderr)
 
     hists = enumerate_n4_discrete(
         args.beta, args.factors, stride=args.stride, cap=args.cap, margin=args.margin,

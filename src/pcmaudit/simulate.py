@@ -369,7 +369,8 @@ def _settled_over_cap(mats: np.ndarray, ri: float, hist: CrHistogram) -> np.ndar
     t = bulk.RESIDUAL_RTOL
     lo, hi = bulk.perron_bounds(mats)
     col_sums = np.einsum("bpq->bq", mats)  # several times faster than np.sum(axis=1)
-    w_min = np.min(mats, axis=(1, 2)) * (1 - n * t) / np.max(col_sums, axis=1) - t
+    col_max = bulk._reduce_rows(np.maximum, col_sums)
+    w_min = np.min(mats, axis=(1, 2)) * (1 - n * t) / col_max - t
     e = 2 * t / np.maximum(w_min, 4 * t)
     settled = hist.overflow_certain(_cr(lo * (1 - e), n, ri), _cr(hi * (1 + e), n, ri))
     return settled & (w_min >= 4 * t)

@@ -10,6 +10,7 @@ with ``full``, the reference for the no-early-exit scan behind
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -458,3 +459,95 @@ def test_perron_bounds_of_consistent_and_overflowing_matrices():
     lo, hi = bulk.perron_bounds(np.stack([consistent, huge]))
     assert lo[0] <= 4.0 <= hi[0] and hi[0] - lo[0] < 1e-13
     assert (lo[1], hi[1]) == (0.0, np.inf)
+
+
+def _unblocked_power_weights(mats, squarings):
+    """``bulk._power_weights`` as one squaring of the whole stack at a time."""
+    p = mats.copy()
+    for _ in range(squarings):
+        p = p @ p
+        p /= np.amax(p, axis=(1, 2))[:, None, None]
+    w = p.sum(axis=2)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _unblocked_perron_bounds(mats):
+    """``bulk.perron_bounds`` as one squaring of the whole stack at a time."""
+    n = mats.shape[1]
+    with np.errstate(all="ignore"):
+        p = mats
+        for _ in range(bulk.SCREEN_SQUARINGS):
+            p = p @ p
+        w = np.einsum("bij->bi", p)
+        ratio = np.einsum("bij,bj->bi", mats, w) / w
+    slack = (n + 1) * np.finfo(float).eps
+    lo = np.min(ratio, axis=1) * (1.0 - slack)
+    hi = np.max(ratio, axis=1) * (1.0 + slack)
+    bad = ~(hi < np.inf)
+    lo[bad], hi[bad] = 0.0, np.inf
+    return lo, hi
+
+
+SLAB_EDGES = (0, 1, bulk.SLAB - 1, bulk.SLAB, bulk.SLAB + 1, 2 * bulk.SLAB + 3)
+
+
+@pytest.mark.parametrize("scale", ["discrete", "continuous"])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_slabs_square_bit_for_bit(monkeypatch, n, scale):
+    # stacks that end before, at and after a slab edge give the bits of one
+    # squaring of the whole stack, in the retries too (rtol -1 sends every
+    # row through all of them)
+    population = generate_batch(GeneratorConfig(n, scale, 300 + n), 0, max(SLAB_EDGES))
+    slabbed = bulk._power_weights
+    for rows in SLAB_EDGES:
+        mats = population[:rows]
+        for squarings in (bulk.BASE_SQUARINGS, 17):
+            np.testing.assert_array_equal(slabbed(mats, squarings),
+                                          _unblocked_power_weights(mats, squarings))
+        for got, want in zip(bulk.perron_bounds(mats), _unblocked_perron_bounds(mats)):
+            np.testing.assert_array_equal(got, want)
+        for rtol in (bulk.RESIDUAL_RTOL, -1.0):
+            got = bulk.perron_batch(mats, rtol=rtol)
+            with monkeypatch.context() as patch:
+                patch.setattr(bulk, "_power_weights", _unblocked_power_weights)
+                want = bulk.perron_batch(mats, rtol=rtol)
+            for name, g, w in zip(("lam", "w", "residual", "ok"), got, want):
+                np.testing.assert_array_equal(g, w, err_msg=f"{name}, {rows} rows, rtol {rtol}")
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_an_overflowing_row_leaves_its_slab_neighbours_bounded(n):
+    mats = generate_batch(GeneratorConfig(n, "discrete", 7), 0, 2 * bulk.SLAB + 3)
+    want = bulk.perron_bounds(mats)
+    huge = bulk.SLAB + bulk.SLAB // 2
+    mats[huge, 0, 1], mats[huge, 1, 0] = 1e300, 1e-300
+    lo, hi = bulk.perron_bounds(mats)
+    assert (lo[huge], hi[huge]) == (0.0, np.inf)
+    others = np.arange(len(mats)) != huge
+    np.testing.assert_array_equal(lo[others], want[0][others])
+    np.testing.assert_array_equal(hi[others], want[1][others])
+    assert np.all(hi[others] < np.inf)
+
+
+def _numpy_peak(call, *args):
+    """Bytes that ``call(*args)`` holds at its peak, by ``tracemalloc``,
+    which numpy reports its buffers to."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_squaring_in_slabs_bounds_the_peak_memory():
+    # 16,384 matrices at n = 9, a fig4 chunk: squaring the whole stack held
+    # 20.25 MiB in the screen and 5.9 MiB in the base solve
+    mats = generate_batch(GeneratorConfig(9, "discrete", 1), 0, 16384)
+    assert _numpy_peak(bulk.perron_bounds, mats) < 4 * 2**20
+    assert _numpy_peak(bulk.perron_batch, mats) <= 5.9 * 2**20

@@ -1,11 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import re
 
+import numpy as np
 import pytest
 
 from pcmaudit.cli import main
 from pcmaudit.matrix import read_matrix_file
+from pcmaudit.sweep import ENUM_CHUNK
 
 KINKED_TEXT = "4\n1 8 1 5\n1/8 1 3 7\n1 1/3 1 9\n1/5 1/7 1/9 1\n"
 CONSISTENT_TEXT = "3\n1 2 4\n1/2 1 2\n1/4 1/2 1\n"
@@ -163,6 +167,17 @@ def test_simulate_writes_stable_csv(tmp_path, capsys):
     assert sum(b["total"] for b in doc["histogram"]["bins"]) == 30000
 
 
+def test_manifest_stamps_the_environment(tmp_path):
+    # the stamp goes to the manifest only; test_parity.py pins the CSV bytes
+    assert main(["simulate", "--n", "4", "--scale", "discrete", "--seed", "5",
+                 "--iters", "100", "--preset", "fig2", "--out", str(tmp_path / "a")]) == 0
+    env = json.loads((tmp_path / "a.manifest.json").read_text())["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+    assert "environment" not in json.loads((tmp_path / "a.json").read_text())
+
+
 def test_failed_output_write_keeps_old_file(tmp_path, disk_full):
     (tmp_path / "run.csv").write_text("old\n")
     assert main(["simulate", "--n", "4", "--scale", "discrete", "--seed", "5",
@@ -198,6 +213,18 @@ def test_enumerate_smoke_with_stride(tmp_path, capsys):
     assert csv_lines[-1].startswith("3.5,inf,")
     total = sum(int(line.split(",")[2]) for line in csv_lines[2:])
     assert total == (24_137_569 + 499_999) // 500_000
+
+
+def test_enumerate_progress_shows_rate_and_eta(capsys):
+    assert main(["enumerate", "--preset", "fig3", "--stride", "400000", "--progress"]) == 0
+    reports = [line.strip() for line in capsys.readouterr().err.split("\r") if line.strip()]
+    total = 24_137_569
+    assert len(reports) == (total + ENUM_CHUNK - 1) // ENUM_CHUNK  # one per chunk
+    assert reports[0] == f"{ENUM_CHUNK}/{total} ordinals"  # no rate before a second report
+    for line in reports[1:]:
+        assert re.fullmatch(rf"\d+/{total} ordinals, \d+ matrices/s, ETA \d+:\d\d:\d\d", line)
+    assert reports[-1].startswith(f"{total}/{total} ordinals, ")
+    assert reports[-1].endswith(", ETA 0:00:00")
 
 
 def test_enumerate_rejects_unknown_preset():

@@ -309,6 +309,48 @@ def test_base_solve_gets_only_unsettled_rows(monkeypatch):
     assert seen[0] is mats
 
 
+def _row_counts(monkeypatch, name):
+    """The rows of every call to ``bulk.<name>`` from here on."""
+    seen, call = [], getattr(bulk, name)
+
+    def spy(batch, *args, **kwargs):
+        seen.append(len(batch))
+        return call(batch, *args, **kwargs)
+
+    monkeypatch.setattr(bulk, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("settle", ["every row", "no row"])
+def test_capped_population_bins_as_uncapped(monkeypatch, settle):
+    # at the fig4 geometry, the rows the screen settles (n = 9), so that the
+    # base solve and the audit get zero rows, or those it does not (n = 6),
+    # so that the rows over the cap take the base solve and bin in overflow
+    # unaudited: either way the counts are the uncapped run's, binned under
+    # the cap
+    mats, ri = _population(9 if settle == "every row" else 6, "discrete")
+    beta = 0.02
+    settled = _settled_over_cap(mats, ri, CrHistogram(beta=beta, cap=0.4))
+    mats = mats[settled] if settle == "every row" else mats[~settled]
+    full, = audit_population(mats, ri, beta, (1.01,), None, VIOLATION_MARGIN,
+                             audit_overflow=True).values()
+    cap_bins = CrHistogram(beta=beta, cap=0.4).cap_bins
+    over = sum(t for m, (t, _) in full.bins.items() if m >= cap_bins)
+    assert 0 < over < len(mats) if settle == "no row" else over == len(mats)
+
+    solved = _row_counts(monkeypatch, "perron_batch")
+    audited = _row_counts(monkeypatch, "violation_flags")
+    capped, = audit_population(mats, ri, beta, (1.01,), 0.4, VIOLATION_MARGIN,
+                               audit_overflow=False).values()
+    assert solved == [0 if settle == "every row" else len(mats)]
+    assert audited == [len(mats) - over]
+    assert capped.samples == full.samples == len(mats)
+    assert capped.overflow == [over, 0]
+    assert capped.bins == {m: tv for m, tv in full.bins.items() if m < cap_bins}
+    assert capped.boundary_ties == full.boundary_ties
+    assert capped.failures == full.failures == 0
+
+
 def _one_cr(mats, ri):
     """The row of ``mats`` with CR over 0.02 whose root interval is the
     narrowest (1e-14 relative or less at n = 4), so that only the widening
