@@ -140,10 +140,11 @@ and beta = d_ji w0_i, that step moves ln(w_i/w_k) by alpha (G_ki - G_ii) +
 beta (G_kj - G_ij): O(n) per (entry, k), and no solve.
 :func:`_predict_entries` picks, per column, the entry whose move is the most
 negative over k, in slabs of ``SLAB`` columns, which bounds its
-temporaries. One chord call solves every column
-at its own entry. The columns it does not flag go to :func:`_pair_scan`,
-which solves all their other entries at once as (column, entry) pairs, at
-most ``AUDIT_BLOCK`` pairs per call. The prediction only orders the work:
+temporaries. :func:`_pair_scan`, given those entries first, solves every
+column at its own entry in one chord call; the columns that call does not
+flag stay held, and all their other entries are solved at once as (column,
+entry) pairs, at most ``AUDIT_BLOCK`` pairs per call. The prediction only
+orders the work:
 every flag still comes from a converged chord solve, or the squaring
 fallback, under the same residual test and margin, so ``violated`` and
 ``ok`` are those of the row-major scan (:func:`violation_flags` states the
@@ -159,11 +160,12 @@ entry does not flag, and a pair scan over those columns with no early exit
 and one entry per solve, which indexes more per step than a shared entry.
 So the gain tracks the share of columns that flag, not n: where few flag,
 as among the under-cap matrices that a fig4 run audits, the stage costs.
-:func:`_mostly_flagged` estimates that share, before any solve, as the
-share of a sample of about ``PREDICT_SAMPLE`` columns whose least first-order
-move lies below the drop test's threshold; on every population below it was
-within 0.01 of the share the solves flagged. The stage runs where the
-estimate is at least ``PREDICT_MIN_SHARE``. Timing ``violation_flags`` with
+:func:`_predict_entries` measures that share, in the slab pass that picks
+the entries and before any solve, as the share of the block's columns whose
+least first-order move lies below the drop test's threshold; on every
+population below, that share over a sample of 256 columns was within 0.01
+of the share the solves flagged. The stage runs where it is at least
+``PREDICT_MIN_SHARE``. Timing ``violation_flags`` with
 the row-major scan, with the stage forced and as gated, alternately (10
 rounds, 2 vCPUs, numpy 2.4.6; 16,384 matrices in blocks of 4096 at factor
 1.01, their under-cap rows for fig4, and eight stride-299 sweep chunks of
@@ -191,7 +193,12 @@ about 440 matrices at three factors):
 
 The forced and gated columns are time ratios to the row-major scan. "row"
 means the gate (at n = 4, ``PREDICT_MIN_N``) kept the row-major scan; those
-runs read 0.99-1.07 of the row-major time, the gate's sample included.
+runs read 0.99-1.07 of the row-major time, when the gate read a sample of
+256 columns. Predicting every column instead, in alternating runs of five
+chunks at factor 1.01, took the audit of fig4's under-cap rows from 20.7 to
+21.3 ms at n = 5 (about 1,870 rows) and from 13.2 to 13.5 ms at n = 6, and
+from 4.4 to 3.9 ms at n = 7, where the stage runs and no longer computes its
+sample's moves twice.
 Where the gate passes, forced and gated run the same code, and their
 ratios differ by up to 0.1, the spread of these timings. Blocks of fig2
 matrices drawn to a set share of flagging columns (n = 5 and 6, discrete)
@@ -207,10 +214,9 @@ of the columns flag (fig2 at n = 4).
 
 Full scan. :func:`_full_scan` solves every upper entry of every column by
 squaring, or by the geometric mean, with no early exit. The scalar audit in
-:mod:`pcmaudit.monotonic` reports every violating (i, j, k) from it, and
-:func:`violation_flags` applies its failure rule to it for the geometric
-mean, which never flags, so no early exit is lost. Every audit and entry
-point checks its factors and margin with :func:`audit_factors`.
+:mod:`pcmaudit.monotonic` reports every violating (i, j, k) from it, for
+either method. Every audit and entry point checks its factors and margin
+with :func:`audit_factors`.
 
 Witness. Each output reports, per factor, the row-major first drop
 (i, j, k) of its lowest-CR flagged matrix, read by :func:`first_violations`
@@ -244,34 +250,14 @@ CHORD_STEPS = 12
 # working sets.
 AUDIT_BLOCK = 4096
 # Blocks of matrices this size and up solve each column's predicted
-# entry first, where a sample of about PREDICT_SAMPLE of their columns
-# estimates that at least PREDICT_MIN_SHARE of them flag; see the module
-# docstring.
+# entry first, where the prediction says that at least PREDICT_MIN_SHARE
+# of their columns flag; see the module docstring.
 PREDICT_MIN_N = 5
-PREDICT_SAMPLE = 256
 PREDICT_MIN_SHARE = 0.25
 # Matrices per slab of the squarings (base solve and root bounds), columns
 # per slab of the entry prediction and of the bordered inverse; bounds
 # their temporaries, which at n = 9 then fit a 2 MB cache.
 SLAB = 1024
-
-
-# Accepted spellings of each weighting method, mapped to its canonical name.
-METHOD_ALIASES = {
-    "eigenvector": "eigenvector",
-    "em": "eigenvector",
-    "row_geometric_mean": "row_geometric_mean",
-    "rgm": "row_geometric_mean",
-    "geometric": "row_geometric_mean",
-}
-
-
-def canonical_method(method: str) -> str:
-    """The canonical name of a weighting method, matched case-insensitively."""
-    try:
-        return METHOD_ALIASES[method.lower()]
-    except KeyError:
-        raise ValidationError(f"unknown weighting method {method!r}") from None
 
 
 def _power_weights(mats: np.ndarray, squarings: int) -> np.ndarray:
@@ -311,32 +297,27 @@ def _slab_powers(mats: np.ndarray, squarings: int, rescale: bool):
         yield rows, p
 
 
-def perron_batch(
-    mats: np.ndarray,
-    rtol: float = RESIDUAL_RTOL,
-    base_squarings: int = BASE_SQUARINGS,
-    max_squarings: int = MAX_SQUARINGS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def perron_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Dominant eigenpairs of a (B, n, n) stack of positive reciprocal matrices.
 
     Returns ``(lam, w, residual, ok)`` with shapes (B,), (B, n), (B,), (B,).
     ``lam`` is the mean componentwise Rayleigh ratio, ``w`` sums to 1 per row,
     ``residual`` is ``max|Aw - lam*w|`` per row, and ``ok`` flags rows whose
-    residual passed ``rtol * lam``. Rows with ``ok == False`` did not converge
-    and must be excluded by the caller.
+    residual passed ``RESIDUAL_RTOL * lam``. Rows with ``ok == False`` did not
+    converge and must be excluded by the caller.
     """
     mats = np.ascontiguousarray(mats, dtype=float)
-    w = _power_weights(mats, base_squarings)
+    w = _power_weights(mats, BASE_SQUARINGS)
     lam, residual = _rayleigh(mats, w)
-    ok = residual <= rtol * lam
+    ok = residual <= RESIDUAL_RTOL * lam
 
-    squarings = base_squarings
-    while not np.all(ok) and squarings < max_squarings:
-        squarings = min(squarings + 4, max_squarings)
+    squarings = BASE_SQUARINGS
+    while not np.all(ok) and squarings < MAX_SQUARINGS:
+        squarings = min(squarings + 4, MAX_SQUARINGS)
         retry = np.flatnonzero(~ok)
         w[retry] = _power_weights(mats[retry], squarings)
         lam[retry], residual[retry] = _rayleigh(mats[retry], w[retry])
-        ok[retry] = residual[retry] <= rtol * lam[retry]
+        ok[retry] = residual[retry] <= RESIDUAL_RTOL * lam[retry]
     return lam, w, residual, ok
 
 
@@ -378,10 +359,14 @@ def _reduce_rows(op, x: np.ndarray) -> np.ndarray:
 
 
 def _rayleigh(mats: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per matrix, lam = mean (Aw)_p / w_p and the residual max|Aw - lam*w|."""
+    """Per matrix, lam = mean (Aw)_p / w_p and the residual max|Aw - lam*w|.
+
+    The reductions are called directly: ``np.mean`` is ``add.reduce`` and a
+    division by the count, so the bits are the same, and its wrappers took
+    about 8 us of a one-matrix call."""
     aw = np.einsum("bij,bj->bi", mats, w)
-    lam = np.mean(aw / w, axis=1)
-    return lam, np.max(np.abs(aw - lam[:, None] * w), axis=1)
+    lam = np.add.reduce(aw / w, axis=1) / w.shape[1]
+    return lam, np.abs(aw - lam[:, None] * w).max(axis=1)
 
 
 def rgm_batch(mats: np.ndarray) -> np.ndarray:
@@ -412,41 +397,32 @@ def violation_flags(
     w0: np.ndarray,
     factors: tuple[float, ...],
     margin: float,
-    method: str = "eigenvector",
-    rtol: float = RESIDUAL_RTOL,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flag matrices whose weight ratios move against an increased judgment.
+    """Flag matrices whose eigenvector ratios move against an increased
+    judgment.
 
     For every factor f in ``factors`` and every upper-triangle entry (i, j)
-    of each matrix, the entry is multiplied by f (mirror divided), weights
-    are recomputed with ``method``, and the matrix is flagged at f when some
+    of each matrix, the entry is multiplied by f (mirror divided), the
+    Perron vector is recomputed, and the matrix is flagged at f when some
     ratio w_i/w_k drops by more than ``margin`` relative to its unperturbed
-    value. ``w0`` holds the unperturbed weights, for the eigenvector method
-    the Perron vectors of ``mats``. A matrix is flagged at f when any
-    converged perturbed solve flags it; it is a failure at f only when none
-    does and some solve did not converge. That rule does not depend on the
-    order in which entries are solved. The eigenvector method runs on the
-    chord scan, where a matrix flagged at f is not solved further at f, and
-    the row geometric mean on the full scan. Returns ``(violated, ok)``,
-    booleans of shape (F, B) indexed by factor first, ``ok`` False for
-    failures. A flagged matrix's witness is read by :func:`first_violations`.
+    value. ``w0`` holds the Perron vectors of ``mats``. A matrix is flagged
+    at f when any converged perturbed solve flags it; it is a failure at f
+    only when none does and some solve did not converge. That rule does not
+    depend on the order in which entries are solved. The solves run on the
+    chord scan, in blocks of ``AUDIT_BLOCK`` matrices, and a matrix flagged
+    at f is not solved further at f. Returns ``(violated, ok)``, booleans of
+    shape (F, B) indexed by factor first, ``ok`` False for failures. A
+    flagged matrix's witness is read by :func:`first_violations`.
     """
     mats = np.asarray(mats, dtype=float)
     w0 = np.asarray(w0, dtype=float)
     factors = np.array(audit_factors(factors, margin))
-    use_eigen = canonical_method(method) == "eigenvector"
     f, b = factors.size, mats.shape[0]
     violated = np.zeros((f, b), dtype=bool)
     ok = np.ones((f, b), dtype=bool)
-    # blocks bound the working set of either scan
     for lo in range(0, b, AUDIT_BLOCK):
         block = slice(lo, lo + AUDIT_BLOCK)
-        if use_eigen:
-            got = _audit_block(mats[block], w0[block], factors, 1.0 - margin, rtol)
-        else:
-            _, ok1, drops = _full_scan(mats[block], w0[block], factors, 1.0 - margin, False, rtol)
-            hit = drops.any(axis=(0, 2))
-            got = hit, hit | ok1.all(axis=0)
+        got = _audit_block(mats[block], w0[block], factors, 1.0 - margin)
         for out, cols in zip((violated, ok), got):
             out[:, block] = cols.reshape(f, -1)
     return violated, ok
@@ -474,35 +450,40 @@ def first_violations(mats: np.ndarray, factor: float, margin: float) -> np.ndarr
     return np.where(worse.any(axis=1)[:, None], np.stack([iu[e], ju[e], k], axis=1) + 1, 0)
 
 
-def _audit_block(mats, w0, factors, thresh, rtol):
+def _audit_block(mats, w0, factors, thresh):
     """The chord scan of one block: the flat (F*B,) ``violated`` and ``ok``
     of :func:`violation_flags`, column c being matrix c % B at factor
-    ``factors[c // B]``. Blocks at n >= ``PREDICT_MIN_N`` whose columns mostly
-    flag take :func:`_predicted_scan`, blocks whose (column, entry) pairs fit
-    in one call :func:`_pair_scan`; the others scan the entries in row-major
-    order, a column leaving at its first flag.
+    ``factors[c // B]``. A block at n >= ``PREDICT_MIN_N`` in which
+    :func:`_predict_entries` finds that at least ``PREDICT_MIN_SHARE`` of the
+    columns flag takes :func:`_pair_scan` with each column's predicted entry
+    first, and a block whose (column, entry) pairs fit in one call takes it
+    without; the others scan the entries in row-major order, a column
+    leaving at its first flag.
     """
     n = mats.shape[1]
     chord = _ChordSolver(mats, w0, factors)
     w0 = np.tile(w0, (factors.size, 1))
-    if n >= PREDICT_MIN_N and _mostly_flagged(chord, thresh):
-        return _predicted_scan(chord, w0, thresh, rtol)
-    if len(w0) * (n * (n - 1) // 2) <= AUDIT_BLOCK:  # every pair in one chord call
-        violated, failed = _pair_scan(chord, w0, chord.cols, thresh, rtol)
+    first = None
+    if n >= PREDICT_MIN_N:
+        first, share = _predict_entries(chord, thresh)
+        if share < PREDICT_MIN_SHARE:
+            first = None
+    if first is not None or len(w0) * (n * (n - 1) // 2) <= AUDIT_BLOCK:
+        violated, failed = _pair_scan(chord, w0, thresh, first)
         return violated, violated | ~failed
     violated, failed = np.zeros((2, len(w0)), dtype=bool)
     for i, j in itertools.combinations(range(n), 2):
         active = np.flatnonzero(~violated)
         if active.size == 0:
             break
-        w1, ok1 = chord.solve(active, i, j, rtol)
+        w1, ok1 = chord.solve(active, i, j)
         failed[active[~ok1]] = True
         active = active[ok1]
         violated[active[np.any(_drops(w0[active], w1[ok1], i, thresh), axis=1)]] = True
     return violated, violated | ~failed
 
 
-def _full_scan(mats, w0, factors, thresh, use_eigen, rtol):
+def _full_scan(mats, w0, factors, thresh, use_eigen):
     """The scan with no early exit: one :func:`perron_batch` (or
     :func:`rgm_batch`) call per upper entry e, row-major, over all F*B
     columns, column c being matrix c % B at factor ``factors[c // B]``.
@@ -518,7 +499,7 @@ def _full_scan(mats, w0, factors, thresh, use_eigen, rtol):
     for e, (i, j) in enumerate(entries):
         pert = _perturbed(mats, col_mat, i, j, np.repeat(factors, b))
         if use_eigen:
-            _, w1[e], _, ok[e] = perron_batch(pert, rtol=rtol)
+            _, w1[e], _, ok[e] = perron_batch(pert)
         else:
             w1[e] = rgm_batch(pert)
         good = np.flatnonzero(ok[e])
@@ -536,75 +517,58 @@ def _drops(w0: np.ndarray, w1: np.ndarray, i, thresh: float) -> np.ndarray:
     return worse
 
 
-def _predicted_scan(chord, w0, thresh, rtol):
-    """The early-exit chord scan of a block, predicted entry first.
+def _pair_scan(chord, w0, thresh, first=None):
+    """Solve every upper entry of each held column as (column, entry) pairs,
+    at most ``AUDIT_BLOCK`` pairs per chord call.
 
-    One chord call solves each column at the entry :func:`_predict_entries`
-    names. The columns it does not flag go to :func:`_pair_scan`, which
-    solves their other entries at once. Returns ``(violated, ok)`` as
-    :func:`_audit_block` does.
+    ``w0`` holds the unperturbed weights of every column. With ``first``,
+    one entry per column, one chord call first solves each column at its own
+    entry; only the columns that it does not flag stay held, and their other
+    entries are solved as pairs. Returns, per column, whether some converged
+    solve flagged it and whether some solve failed.
     """
     n = w0.shape[1]
     iu, ju = np.triu_indices(n, 1)
     cols = chord.cols
-    pick = _predict_entries(chord)
-    w1, ok = chord.solve(cols, iu[pick], ju[pick], rtol)
-    violated = np.zeros(cols.size, dtype=bool)
-    violated[ok] = np.any(_drops(w0[ok], w1[ok], iu[pick[ok]], thresh), axis=1)
-    rest = np.flatnonzero(~violated)
-    if rest.size:
-        chord.hold(rest)
-        violated[rest], failed = _pair_scan(chord, w0, rest, thresh, rtol, skip=pick[rest])
-        ok[rest] &= ~failed
-    return violated, violated | ok
-
-
-def _pair_scan(chord, w0, cols, thresh, rtol, skip=None):
-    """Solve every upper entry of each of the sorted held columns ``cols``
-    as (column, entry) pairs, at most ``AUDIT_BLOCK`` pairs per chord call;
-    ``skip``, if given, names one entry per column to leave out.
-
-    ``w0`` holds the unperturbed weights of every column. Returns, per
-    column, whether some converged solve flagged it and whether some solve
-    failed.
-    """
-    n = w0.shape[1]
-    iu, ju = np.triu_indices(n, 1)
-    pair_col = np.repeat(np.arange(cols.size), iu.size)
-    pair_e = np.tile(np.arange(iu.size), cols.size)
-    if skip is not None:
-        keep = pair_e != skip[pair_col]
-        pair_col, pair_e = pair_col[keep], pair_e[keep]
     violated = np.zeros(cols.size, dtype=bool)
     failed = np.zeros(cols.size, dtype=bool)
+    if first is not None:
+        # w_first stays alive through the pairs: freed before they allocate,
+        # it raised the peak RSS of 20 fig2 n = 9 chunks by 6-7 MB (glibc's
+        # mmap threshold), with the same tracemalloc peak
+        w_first, ok = chord.solve(cols, iu[first], ju[first])
+        failed[~ok] = True
+        violated[ok] = np.any(_drops(w0[ok], w_first[ok], iu[first[ok]], thresh), axis=1)
+        cols = np.flatnonzero(~violated)
+        chord.hold(cols)
+    pair_col = np.repeat(cols, iu.size)
+    pair_e = np.tile(np.arange(iu.size), cols.size)
+    if first is not None:
+        keep = pair_e != first[pair_col]
+        pair_col, pair_e = pair_col[keep], pair_e[keep]
     for lo in range(0, pair_col.size, AUDIT_BLOCK):
         c, e = pair_col[lo:lo + AUDIT_BLOCK], pair_e[lo:lo + AUDIT_BLOCK]
-        w1, ok1 = chord.solve(cols[c], iu[e], ju[e], rtol)
+        w1, ok1 = chord.solve(c, iu[e], ju[e])
         failed[c[~ok1]] = True
         c, e = c[ok1], e[ok1]
-        worse = _drops(w0[cols[c]], w1[ok1], iu[e], thresh)
-        violated[c[np.any(worse, axis=1)]] = True
+        violated[c[np.any(_drops(w0[c], w1[ok1], iu[e], thresh), axis=1)]] = True
     return violated, failed
 
 
-def _mostly_flagged(chord, thresh: float) -> bool:
-    """Whether at least ``PREDICT_MIN_SHARE`` of a sample of about
-    ``PREDICT_SAMPLE`` held columns, evenly spaced, have some first-order
-    move below the drop test's threshold."""
-    step = max(1, chord.cols.size // PREDICT_SAMPLE)
-    low = np.min(_first_moves(chord, slice(0, None, step)), axis=0)
-    return np.mean(low < np.log(thresh)) >= PREDICT_MIN_SHARE
-
-
-def _predict_entries(chord) -> np.ndarray:
+def _predict_entries(chord, thresh: float) -> tuple[np.ndarray, float]:
     """Per held column, the row-major index of the upper entry whose first
-    chord iterate lowers some ln(w_i/w_k) the most (module docstring), in
-    slabs of ``SLAB`` columns."""
+    chord iterate lowers some ln(w_i/w_k) the most (module docstring), and
+    the share of held columns whose least such move lies below
+    ln(``thresh``), in slabs of ``SLAB`` columns."""
     pick = np.empty(chord.cols.size, dtype=np.intp)
+    below = 0
     for lo in range(0, pick.size, SLAB):
         cols = slice(lo, lo + SLAB)
-        pick[cols] = np.argmin(_first_moves(chord, cols), axis=0)
-    return pick
+        moves = _first_moves(chord, cols)
+        pick[cols] = np.argmin(moves, axis=0)
+        below += np.count_nonzero(np.min(moves, axis=0) < np.log(thresh))
+        del moves  # not held while the next slab's are computed
+    return pick, below / pick.size
 
 
 def _first_moves(chord, cols: slice) -> np.ndarray:
@@ -721,7 +685,7 @@ class _ChordSolver:
         mats_t = np.ascontiguousarray(mats.transpose(1, 2, 0))
         w0_t = np.ascontiguousarray(w0.T)
         aw0 = _matvec(mats_t, w0_t)
-        lam0 = np.mean(aw0 / w0_t, axis=0)
+        lam0 = np.add.reduce(aw0 / w0_t, axis=0) / len(w0_t)  # np.mean's bits
         inv_t = _bordered_inverse(mats_t, w0_t, lam0)
         # a copy per array costs a one-factor audit at n = 9 about 1.5%
         self.mats_t, self.w0, self.aw0, self.inv_t = (
@@ -742,8 +706,7 @@ class _ChordSolver:
         self.fac, self.mats_t, self.w0, self.aw0, self.inv_t = self._take(cols)
         self.cols = cols
 
-    def solve(self, cols: np.ndarray, i, j,
-              rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self, cols: np.ndarray, i, j) -> tuple[np.ndarray, np.ndarray]:
         """Perron vectors (C, n) of the given columns' matrices with a_ij
         scaled by the column's factor and a_ji by its reciprocal, and their
         ``ok`` flags.
@@ -779,7 +742,7 @@ class _ChordSolver:
         for _ in range(CHORD_STEPS):
             w = w - _matvec(inv, resid)
             resid, lam = _perturbed_residual(_matvec(a, w), w, *rows, d_ij, d_ji)
-            done = ((np.maximum.reduce(np.abs(resid), axis=0) <= rtol * lam)
+            done = ((np.maximum.reduce(np.abs(resid), axis=0) <= RESIDUAL_RTOL * lam)
                     & (np.minimum.reduce(w, axis=0) > 0) & pending)
             if not done.any():
                 continue
@@ -801,5 +764,5 @@ class _ChordSolver:
         if left.size:
             i, j = (x[left] if per_solve else x for x in entry)
             pert = _perturbed(self.mats, cols[left] % len(self.mats), i, j, fac[left])
-            _, out[left], _, ok[left] = perron_batch(pert, rtol=rtol)
+            _, out[left], _, ok[left] = perron_batch(pert)
         return out, ok

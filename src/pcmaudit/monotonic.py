@@ -24,13 +24,29 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bulk, weights
-from .bulk import RESIDUAL_RTOL, canonical_method
 from .errors import ConvergenceError, ValidationError
 from .matrix import PairwiseComparisonMatrix
 
 # A ratio must drop by more than this (relative) to count as a violation.
 # Far below the effect sizes this audit exists to find, far above eigen noise.
 VIOLATION_MARGIN = 1e-9
+
+# Accepted spellings of each weighting method, mapped to its canonical name.
+METHOD_ALIASES = {
+    "eigenvector": "eigenvector",
+    "em": "eigenvector",
+    "row_geometric_mean": "row_geometric_mean",
+    "rgm": "row_geometric_mean",
+    "geometric": "row_geometric_mean",
+}
+
+
+def canonical_method(method: str) -> str:
+    """The canonical name of a weighting method, matched case-insensitively."""
+    try:
+        return METHOD_ALIASES[method.lower()]
+    except KeyError:
+        raise ValidationError(f"unknown weighting method {method!r}") from None
 
 
 @dataclass(frozen=True)
@@ -122,7 +138,7 @@ def _audit(a, factors, method, margin) -> list[MonotonicityReport]:
     # the residual test and raise below, so numpy need not warn about them
     with np.errstate(all="ignore"):
         w1, ok, drops = bulk._full_scan(
-            a.entries[None], w0[None], np.array(factors), 1.0 - margin, eigen, RESIDUAL_RTOL)
+            a.entries[None], w0[None], np.array(factors), 1.0 - margin, eigen)
         for f, e in np.argwhere(~ok.T)[:1]:  # the first failure, factor-major
             i, j = entries[e]
             pert = bulk._perturbed(a.entries[None], np.zeros(1, int), i - 1, j - 1, factors[f])
@@ -134,7 +150,7 @@ def _audit(a, factors, method, margin) -> list[MonotonicityReport]:
         method=method,
         factor=factor,
         margin=margin,
-        eigen_tol=RESIDUAL_RTOL if eigen else 0.0,
+        eigen_tol=bulk.RESIDUAL_RTOL if eigen else 0.0,
         violations=tuple(
             ViolationRecord(i, j, int(k) + 1, float(w0[i - 1] / w0[k]),
                             float(w1[e, f, i - 1] / w1[e, f, k]), factor)

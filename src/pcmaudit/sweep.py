@@ -58,7 +58,7 @@ def upper_to_ordinal(upper) -> int:
     """Inverse of :func:`ordinal_to_upper` for a single matrix."""
     ordinal = 0
     for value in np.asarray(upper, dtype=float).ravel():
-        matches = np.flatnonzero(np.isclose(SAATY_VALUES, value, rtol=1e-12))
+        matches = np.flatnonzero(np.isclose(SAATY_VALUES, value, rtol=1e-12, atol=0.0))
         if matches.size != 1:
             raise ValidationError(f"{value!r} is not a discrete scale value")
         ordinal = ordinal * 17 + int(matches[0])

@@ -25,7 +25,7 @@ from pcmaudit.matrix import matrices_from_upper
 FACTORS = (1.001, 1.01, 1.1)
 
 
-def squaring_scan(mats, w0, factor, margin, rtol=bulk.RESIDUAL_RTOL, full=False):
+def squaring_scan(mats, w0, factor, margin, full=False):
     """Reference audit: one explicit copy and squaring solve per entry.
 
     With ``full`` no matrix leaves the scan at a flag or a failed solve, and
@@ -44,7 +44,7 @@ def squaring_scan(mats, w0, factor, margin, rtol=bulk.RESIDUAL_RTOL, full=False)
         pert = mats[active].copy()
         pert[:, i, j] *= factor
         pert[:, j, i] /= factor
-        _, w1, _, ok1 = bulk.perron_batch(pert, rtol=rtol)
+        _, w1, _, ok1 = bulk.perron_batch(pert)
         scan[0][e, active], scan[1][e, active] = w1, ok1
         ok[active[~ok1]] = False
         active, w1 = active[ok1], w1[ok1]
@@ -120,8 +120,7 @@ def test_full_scan_matches_squaring_bit_for_bit(n, scale):
     # scalar audit's path
     mats, w0 = _population(n, scale, 127)
     b = len(mats)
-    w1, ok, drops = bulk._full_scan(
-        mats, w0, np.array(FACTORS), 1.0 - 1e-9, True, bulk.RESIDUAL_RTOL)
+    w1, ok, drops = bulk._full_scan(mats, w0, np.array(FACTORS), 1.0 - 1e-9, True)
     assert ok.all()
     for f, factor in enumerate(FACTORS):
         cols = slice(f * b, (f + 1) * b)
@@ -222,7 +221,8 @@ def test_prediction_only_orders_the_work(monkeypatch, n, scale):
     # a deliberately poor first guess, the last upper entry for every column:
     # flags and ok bits must not move
     last = n * (n - 1) // 2 - 1
-    monkeypatch.setattr(bulk, "_predict_entries", lambda chord: np.full(chord.cols.size, last))
+    monkeypatch.setattr(bulk, "_predict_entries",
+                        lambda chord, thresh: (np.full(chord.cols.size, last), 1.0))
     monkeypatch.setattr(bulk, "PREDICT_MIN_SHARE", 0.0)
     mats, w0 = _population(n, scale)
     got = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
@@ -244,8 +244,8 @@ def test_a_failed_solve_does_not_hide_a_flag_at_another_entry(monkeypatch, n, pr
 
     solve = bulk._ChordSolver.solve
 
-    def failing(self, cols, i, j, rtol):
-        w1, ok = solve(self, cols, i, j, rtol)
+    def failing(self, cols, i, j):
+        w1, ok = solve(self, cols, i, j)
         bad = np.broadcast_to((np.asarray(i) == 0) & (np.asarray(j) == 1), ok.shape)
         w1[bad, 0] *= 0.5  # a drop of w_1 that only a trusted failed solve would flag
         ok[bad] = False
@@ -254,7 +254,8 @@ def test_a_failed_solve_does_not_hide_a_flag_at_another_entry(monkeypatch, n, pr
     monkeypatch.setattr(bulk._ChordSolver, "solve", failing)
     monkeypatch.setattr(bulk, "PREDICT_MIN_SHARE", 0.0)
     if predicted:
-        monkeypatch.setattr(bulk, "_predict_entries", lambda chord: np.zeros(chord.cols.size, int))
+        monkeypatch.setattr(bulk, "_predict_entries",
+                            lambda chord, thresh: (np.zeros(chord.cols.size, int), 1.0))
     _assert_same(_one(bulk.violation_flags(mats, w0, (1.01,), 1e-9)), (violated, violated))
 
 
@@ -267,12 +268,17 @@ def test_predicted_stage_runs_where_most_columns_flag(monkeypatch):
     ri = default_random_index_table("discrete").lookup(5)
     low = np.flatnonzero((lam - 5) / 4 / ri < 0.4)
     calls = []
-    scan = bulk._predicted_scan
-    monkeypatch.setattr(bulk, "_predicted_scan", lambda *args: calls.append(1) or scan(*args))
+    scan = bulk._pair_scan
+
+    def spy(chord, w0, thresh, first=None):
+        calls.append(first is not None)
+        return scan(chord, w0, thresh, first)
+
+    monkeypatch.setattr(bulk, "_pair_scan", spy)
     for rows, predicted in ((np.arange(1024), True), (low, False)):
         calls.clear()
         got = _one(bulk.violation_flags(mats[rows], w0[rows], (1.01,), 1e-9))
-        assert bool(calls) == predicted
+        assert any(calls) == predicted
         want = squaring_scan(mats[rows], w0[rows], 1.01, 1e-9)
         _assert_same(got, want)
         _assert_witness(want, mats[rows], 1.01)
@@ -402,16 +408,17 @@ def test_squaring_fallback_alone_gives_the_same_flags(monkeypatch, n, factor):
     _assert_witness(want, mats, factor)
 
 
-def test_unreachable_tolerance_fails_every_row():
+def test_unreachable_tolerance_fails_every_row(monkeypatch):
     # a chord iterate can reach a residual of exactly 0.0 in floating point,
     # so only a negative tolerance is out of reach for every row; at n = 5
     # the block takes the predicted-entry stage, at n = 4 one pair call
-    for n in (5, 4):
-        mats, w0 = _population(n, "discrete", 256)
-        violated, ok = _one(bulk.violation_flags(mats, w0, (1.01,), 1e-9, rtol=-1.0))
+    populations = [_population(n, "discrete", 256) for n in (5, 4)]
+    monkeypatch.setattr(bulk, "RESIDUAL_RTOL", -1.0)
+    for mats, w0 in populations:
+        violated, ok = _one(bulk.violation_flags(mats, w0, (1.01,), 1e-9))
         assert not ok.any()
         assert not violated.any()
-        _assert_same((violated, ok), squaring_scan(mats, w0, 1.01, 1e-9, rtol=-1.0))
+        _assert_same((violated, ok), squaring_scan(mats, w0, 1.01, 1e-9))
 
 
 def test_empty_batch():
@@ -495,8 +502,8 @@ SLAB_EDGES = (0, 1, bulk.SLAB - 1, bulk.SLAB, bulk.SLAB + 1, 2 * bulk.SLAB + 3)
 @pytest.mark.parametrize("n", range(2, 10))
 def test_slabs_square_bit_for_bit(monkeypatch, n, scale):
     # stacks that end before, at and after a slab edge give the bits of one
-    # squaring of the whole stack, in the retries too (rtol -1 sends every
-    # row through all of them)
+    # squaring of the whole stack, in the retries too (a tolerance of -1
+    # sends every row through all of them)
     population = generate_batch(GeneratorConfig(n, scale, 300 + n), 0, max(SLAB_EDGES))
     slabbed = bulk._power_weights
     for rows in SLAB_EDGES:
@@ -507,12 +514,28 @@ def test_slabs_square_bit_for_bit(monkeypatch, n, scale):
         for got, want in zip(bulk.perron_bounds(mats), _unblocked_perron_bounds(mats)):
             np.testing.assert_array_equal(got, want)
         for rtol in (bulk.RESIDUAL_RTOL, -1.0):
-            got = bulk.perron_batch(mats, rtol=rtol)
             with monkeypatch.context() as patch:
+                patch.setattr(bulk, "RESIDUAL_RTOL", rtol)
+                got = bulk.perron_batch(mats)
                 patch.setattr(bulk, "_power_weights", _unblocked_power_weights)
-                want = bulk.perron_batch(mats, rtol=rtol)
+                want = bulk.perron_batch(mats)
             for name, g, w in zip(("lam", "w", "residual", "ok"), got, want):
                 np.testing.assert_array_equal(g, w, err_msg=f"{name}, {rows} rows, rtol {rtol}")
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_predicted_entries_in_slabs_match_one_pass(n):
+    # blocks that end before, at and after a slab edge: the pick of every
+    # column is the argmin of the unslabbed moves, and the share counts the
+    # columns of the whole block whose least move is below ln(thresh)
+    mats, w0 = _population(n, "discrete", 2 * bulk.SLAB + 3)
+    thresh = 1.0 - 1e-9
+    for rows in SLAB_EDGES[1:]:
+        chord = bulk._ChordSolver(mats[:rows], w0[:rows], np.array([1.01]))
+        moves = bulk._first_moves(chord, slice(None))
+        pick, share = bulk._predict_entries(chord, thresh)
+        np.testing.assert_array_equal(pick, np.argmin(moves, axis=0))
+        assert share == np.count_nonzero(moves.min(axis=0) < np.log(thresh)) / rows
 
 
 @pytest.mark.parametrize("n", [4, 9])
@@ -551,3 +574,15 @@ def test_squaring_in_slabs_bounds_the_peak_memory():
     mats = generate_batch(GeneratorConfig(9, "discrete", 1), 0, 16384)
     assert _numpy_peak(bulk.perron_bounds, mats) < 4 * 2**20
     assert _numpy_peak(bulk.perron_batch, mats) <= 5.9 * 2**20
+
+
+def test_audit_peak_memory():
+    # the same chunk at one factor, nearly every column of which takes the
+    # predicted-entry stage (8.37 MiB): (column, entry) pairs built for
+    # every column instead of those left after the first round, or one
+    # slab's first-order moves held while the next slab's are computed,
+    # would exceed it
+    mats = generate_batch(GeneratorConfig(9, "discrete", 1), 0, 16384)
+    _, w0, _, ok = bulk.perron_batch(mats)
+    assert ok.all()
+    assert _numpy_peak(bulk.violation_flags, mats, w0, (1.01,), 1e-9) <= 8.4 * 2**20

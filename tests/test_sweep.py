@@ -62,6 +62,11 @@ def test_ordinal_range_validation():
         ordinal_to_upper(np.array([TOTAL_MATRICES]))
     with pytest.raises(ValidationError):
         upper_to_ordinal((2.5, 1, 1, 1, 1, 1))
+    # 4.5e-8 off 1/9 relative, though within 1e-8 absolute
+    with pytest.raises(ValidationError):
+        upper_to_ordinal([1 / 9 + 5e-9] * 6)
+    # every exact scale value is its own digit
+    assert [upper_to_ordinal([v]) for v in SAATY_VALUES] == list(range(17))
 
 
 def test_sweep_chunk_matches_scalar_audits():
