@@ -488,23 +488,25 @@ def _full_scan(mats, w0, factors, thresh, use_eigen):
     :func:`rgm_batch`) call per upper entry e, row-major, over all F*B
     columns, column c being matrix c % B at factor ``factors[c // B]``.
     Returns the perturbed weights ``w1`` (E, F*B, n), the solves' ``ok``
-    (E, F*B) and ``drops`` (E, F*B, n) over k; a failed solve leaves its last
-    iterate, and no drops."""
+    (E, F*B), ``drops`` (E, F*B, n) over k and the solves' residuals
+    (E, F*B), 0 for the geometric mean; a failed solve leaves its last
+    iterate and its residual, and no drops."""
     b, n, _ = mats.shape
     col_mat = np.tile(np.arange(b), factors.size)
     w0 = w0[col_mat]
     entries = list(itertools.combinations(range(n), 2))
     shape = (len(entries), col_mat.size)
     w1, ok, drops = np.empty(shape + (n,)), np.ones(shape, bool), np.zeros(shape + (n,), bool)
+    residual = np.zeros(shape)
     for e, (i, j) in enumerate(entries):
         pert = _perturbed(mats, col_mat, i, j, np.repeat(factors, b))
         if use_eigen:
-            _, w1[e], _, ok[e] = perron_batch(pert)
+            _, w1[e], residual[e], ok[e] = perron_batch(pert)
         else:
             w1[e] = rgm_batch(pert)
         good = np.flatnonzero(ok[e])
         drops[e, good] = _drops(w0[good], w1[e, good], i, thresh)
-    return w1, ok, drops
+    return w1, ok, drops, residual
 
 
 def _drops(w0: np.ndarray, w1: np.ndarray, i, thresh: float) -> np.ndarray:

@@ -38,8 +38,8 @@ from .consistency import (
     estimate_random_index,
 )
 from .errors import ConfigurationError, ConvergenceError, ValidationError
-from .generate import GeneratorConfig, generate
-from .matrix import _write_atomic, read_matrix_file
+from .generate import SUBSTREAM_CHUNK, GeneratorConfig, upper_batch
+from .matrix import _write_atomic, build_matrix, read_matrix_file
 from .monotonic import VIOLATION_MARGIN, check_monotonicity, min_violation_factor_scan
 from .simulate import CrHistogram, histogram_csv_lines, run_simulation
 from .sweep import DEFAULT_CR_OVERFLOW, enumerate_n4_discrete
@@ -121,13 +121,28 @@ class RunManifest:
         _write_json(path, self.to_dict())
 
 
-def write_histogram_csv(path, hist: CrHistogram, run_id: str) -> None:
-    lines = [f"# run_id={run_id}"] + histogram_csv_lines(hist)
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
 def _write_json(path, doc: dict) -> None:
     _write_atomic(path, json.dumps(doc, indent=2) + "\n")
+
+
+def _run_doc(command: str, config: dict, **body) -> dict:
+    """A run's JSON report: its schema, run id, command and config, then ``body``."""
+    return {"schema": JSON_SCHEMA, "run_id": run_id_for(command, config),
+            "command": command, "config": config, **body}
+
+
+def _write_run(manifest: RunManifest, out: str, csvs: dict[str, CrHistogram], **body) -> None:
+    """Write a batch run's histogram CSVs (path -> histogram), its run JSON
+    ``out``.json with ``body`` and its manifest ``out``.manifest.json,
+    appending each path but the manifest's to ``manifest.outputs`` once it
+    is written."""
+    for path, hist in csvs.items():
+        lines = [f"# run_id={manifest.run_id}"] + histogram_csv_lines(hist)
+        _write_atomic(path, "\n".join(lines) + "\n")
+        manifest.outputs.append(path)
+    _write_json(f"{out}.json", _run_doc(manifest.command, manifest.config, **body))
+    manifest.outputs.append(f"{out}.json")
+    manifest.write(f"{out}.manifest.json")
 
 
 def _format_weights(values) -> str:
@@ -157,21 +172,12 @@ def cmd_analyze(args) -> int:
               f"{'yes' if report.acceptable else 'no'}")
         report_doc = vars(report)
     if args.json:
-        config = {"path": str(args.path), "scale": args.scale}
-        doc = {
-            "schema": JSON_SCHEMA,
-            "run_id": run_id_for("analyze", config),
-            "command": "analyze",
-            "config": config,
-            "matrix_digest": matrix.content_digest(),
-            "lambda_max": eigen.lambda_max,
-            "em_weights": list(eigen.weights.values),
-            "rgm_weights": list(rgm.values),
-            "eigen_iterations": eigen.iterations,
-            "eigen_residual": eigen.residual,
-            "consistency": report_doc,
-        }
-        _write_json(args.json, doc)
+        _write_json(args.json, _run_doc(
+            "analyze", {"path": str(args.path), "scale": args.scale},
+            matrix_digest=matrix.content_digest(), lambda_max=eigen.lambda_max,
+            em_weights=list(eigen.weights.values), rgm_weights=list(rgm.values),
+            eigen_iterations=eigen.iterations, eigen_residual=eigen.residual,
+            consistency=report_doc))
     return 0
 
 
@@ -193,14 +199,8 @@ def cmd_audit(args) -> int:
     if args.json:
         config = {"path": str(args.path), "method": args.method,
                   "factors": list(reports), "margin": args.margin}
-        doc = {
-            "schema": JSON_SCHEMA,
-            "run_id": run_id_for("audit", config),
-            "command": "audit",
-            "config": config,
-            "reports": {repr(f): report.to_dict() for f, report in reports.items()},
-        }
-        _write_json(args.json, doc)
+        _write_json(args.json, _run_doc(
+            "audit", config, reports={repr(f): r.to_dict() for f, r in reports.items()}))
     return 0
 
 
@@ -208,17 +208,19 @@ def cmd_gen(args) -> int:
     config = GeneratorConfig(n=args.n, scale=args.scale, seed=args.seed)
     if args.count < 1:
         raise ValidationError(f"count must be at least 1, got {args.count}")
+    # one upper_batch call per substream draws each substream once
+    texts = (build_matrix(args.n, upper).to_text()
+             for lo in range(0, args.count, SUBSTREAM_CHUNK)
+             for upper in upper_batch(config, lo, min(SUBSTREAM_CHUNK, args.count - lo)))
     if args.out is None:
-        for ordinal in range(args.count):
-            sys.stdout.write(generate(config, ordinal).to_text())
+        sys.stdout.writelines(texts)
         return 0
     os.makedirs(args.out, exist_ok=True)
     manifest = RunManifest("gen", {"n": args.n, "scale": args.scale,
                                    "seed": args.seed, "count": args.count})
-    for ordinal in range(args.count):
+    for ordinal, text in enumerate(texts):
         name = f"matrix_{ordinal:06d}.txt"
-        text = f"# run_id={manifest.run_id}\n" + generate(config, ordinal).to_text()
-        _write_atomic(os.path.join(args.out, name), text)
+        _write_atomic(os.path.join(args.out, name), f"# run_id={manifest.run_id}\n" + text)
         manifest.outputs.append(name)
     manifest.finish()
     manifest.write(os.path.join(args.out, "manifest.json"))
@@ -248,16 +250,8 @@ def cmd_simulate(args) -> int:
     manifest.failures = hist.failures
     manifest.finish()
     if args.out:
-        csv_path = f"{args.out}.csv"
-        write_histogram_csv(csv_path, hist, manifest.run_id)
-        manifest.outputs.append(csv_path)
-        doc = {"schema": JSON_SCHEMA, "run_id": manifest.run_id,
-               "command": "simulate", "config": flags,
-               "histogram": hist.to_dict()}
-        _write_json(f"{args.out}.json", doc)
-        manifest.outputs.append(f"{args.out}.json")
-        manifest.write(f"{args.out}.manifest.json")
-        print(f"wrote {csv_path} (run {manifest.run_id})")
+        _write_run(manifest, args.out, {f"{args.out}.csv": hist}, histogram=hist.to_dict())
+        print(f"wrote {args.out}.csv (run {manifest.run_id})")
     else:
         sys.stdout.write("\n".join(histogram_csv_lines(hist)) + "\n")
     checked = hist.total - (hist.overflow[0] if args.cr_cap is not None else 0)
@@ -310,16 +304,8 @@ def cmd_enumerate(args) -> int:
             summary += f", min violating CR {hist.min_cr_example.cr:.6f}"
         print(summary)
     if args.out:
-        doc = {"schema": JSON_SCHEMA, "run_id": manifest.run_id,
-               "command": "enumerate", "config": flags,
-               "histograms": {repr(f): h.to_dict() for f, h in hists.items()}}
-        for factor, hist in hists.items():
-            csv_path = f"{args.out}_{factor:g}.csv"
-            write_histogram_csv(csv_path, hist, manifest.run_id)
-            manifest.outputs.append(csv_path)
-        _write_json(f"{args.out}.json", doc)
-        manifest.outputs.append(f"{args.out}.json")
-        manifest.write(f"{args.out}.manifest.json")
+        _write_run(manifest, args.out, {f"{args.out}_{f:g}.csv": h for f, h in hists.items()},
+                   histograms={repr(f): h.to_dict() for f, h in hists.items()})
         print(f"wrote {len(manifest.outputs)} files (run {manifest.run_id})")
     return 0
 
@@ -332,9 +318,7 @@ def cmd_ri(args) -> int:
     if args.json:
         config = {"n": args.n, "scale": args.scale, "samples": args.samples,
                   "seed": args.seed}
-        doc = {"schema": JSON_SCHEMA, "run_id": run_id_for("ri", config),
-               "command": "ri", "config": config, "random_index": value}
-        _write_json(args.json, doc)
+        _write_json(args.json, _run_doc("ri", config, random_index=value))
     return 0
 
 

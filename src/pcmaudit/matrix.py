@@ -12,7 +12,6 @@ for judgment matrices; the underlying numpy array is 0-based as always.
 from __future__ import annotations
 
 import functools
-import hashlib
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,6 +68,8 @@ class PairwiseComparisonMatrix:
         Hashes n and the upper triangle rendered at 17 significant digits, so
         equal matrices always share a digest regardless of how they were built.
         """
+        import hashlib  # here, not at the top: it loads OpenSSL, which no batch path needs
+
         text = f"{self.n}:" + ",".join(format(v, ".17g") for v in self.upper_triangle())
         return hashlib.sha256(text.encode("ascii")).hexdigest()
 

@@ -137,14 +137,12 @@ def _audit(a, factors, method, margin) -> list[MonotonicityReport]:
     # as in eigenvector_method: squarings that overflow leave values that fail
     # the residual test and raise below, so numpy need not warn about them
     with np.errstate(all="ignore"):
-        w1, ok, drops = bulk._full_scan(
+        w1, ok, drops, residual = bulk._full_scan(
             a.entries[None], w0[None], np.array(factors), 1.0 - margin, eigen)
-        for f, e in np.argwhere(~ok.T)[:1]:  # the first failure, factor-major
-            i, j = entries[e]
-            pert = bulk._perturbed(a.entries[None], np.zeros(1, int), i - 1, j - 1, factors[f])
-            raise ConvergenceError(
-                f"eigen solve did not converge for perturbed entry ({i},{j})", w1[e, f],
-                float(bulk._rayleigh(pert, w1[e, f][None])[1][0]), 2**bulk.MAX_SQUARINGS)
+    for f, e in np.argwhere(~ok.T)[:1]:  # the first failure, factor-major
+        i, j = entries[e]
+        raise ConvergenceError(f"eigen solve did not converge for perturbed entry ({i},{j})",
+                               w1[e, f], float(residual[e, f]), 2**bulk.MAX_SQUARINGS)
     return [MonotonicityReport(
         matrix_hash=a.content_digest(),
         method=method,

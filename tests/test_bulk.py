@@ -120,7 +120,7 @@ def test_full_scan_matches_squaring_bit_for_bit(n, scale):
     # scalar audit's path
     mats, w0 = _population(n, scale, 127)
     b = len(mats)
-    w1, ok, drops = bulk._full_scan(mats, w0, np.array(FACTORS), 1.0 - 1e-9, True)
+    w1, ok, drops, _ = bulk._full_scan(mats, w0, np.array(FACTORS), 1.0 - 1e-9, True)
     assert ok.all()
     for f, factor in enumerate(FACTORS):
         cols = slice(f * b, (f + 1) * b)

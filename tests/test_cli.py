@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib
 import json
 import os
 import re
@@ -7,7 +8,9 @@ import re
 import numpy as np
 import pytest
 
+from pcmaudit import GeneratorConfig, generate
 from pcmaudit.cli import main
+from pcmaudit.generate import SUBSTREAM_CHUNK
 from pcmaudit.matrix import read_matrix_file
 from pcmaudit.sweep import ENUM_CHUNK
 
@@ -148,6 +151,40 @@ def test_gen_writes_parseable_deterministic_files(tmp_path, capsys):
     assert (first.entries == again.entries).all()
 
 
+@pytest.fixture
+def chunk_draws(monkeypatch):
+    """The substream index of every ``generate._upper_chunk`` call, in order."""
+    # the module: the package attribute `pcmaudit.generate` is the function
+    module = importlib.import_module("pcmaudit.generate")
+    real = module._upper_chunk
+    calls = []
+    monkeypatch.setattr(module, "_upper_chunk",
+                        lambda config, chunk: calls.append(chunk) or real(config, chunk))
+    return calls
+
+
+def test_gen_stdout_matches_files_and_draws_each_substream_once(tmp_path, chunk_draws, capsys):
+    argv = ["gen", "--n", "4", "--scale", "continuous", "--seed", "1", "--count", "5"]
+    assert main(argv) == 0
+    assert chunk_draws == [0]
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert chunk_draws == [0, 0]
+    files = [(tmp_path / f"matrix_{t:06d}.txt").read_text() for t in range(5)]
+    assert all(text.startswith("# run_id=") for text in files)
+    assert printed == "".join(text.split("\n", 1)[1] for text in files)
+
+
+def test_gen_stdout_across_a_substream_boundary(chunk_draws, capsys):
+    count = SUBSTREAM_CHUNK + 2
+    assert main(["gen", "--n", "3", "--scale", "discrete", "--seed", "4",
+                 "--count", str(count)]) == 0
+    assert chunk_draws == [0, 1]
+    config = GeneratorConfig(n=3, scale="discrete", seed=4)
+    tail = "".join(generate(config, t).to_text() for t in range(count - 3, count))
+    assert capsys.readouterr().out.endswith(tail)
+
+
 def test_simulate_writes_stable_csv(tmp_path, capsys):
     base = ["simulate", "--n", "4", "--scale", "discrete", "--seed", "5",
             "--iters", "30000", "--beta", "0.1", "--factor", "1.01"]
@@ -165,6 +202,19 @@ def test_simulate_writes_stable_csv(tmp_path, capsys):
     doc = json.loads((tmp_path / "a.json").read_text())
     assert doc["run_id"] == manifest["run_id"]
     assert sum(b["total"] for b in doc["histogram"]["bins"]) == 30000
+
+
+def test_simulate_stdout_is_the_csv_body(tmp_path, capsys):
+    argv = ["simulate", "--n", "5", "--scale", "discrete", "--seed", "2",
+            "--iters", "3000", "--preset", "fig4"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    wrote, summary = capsys.readouterr().out.split("\n", 1)
+    assert wrote.startswith(f"wrote {tmp_path / 'a'}.csv (run ")
+    body = (tmp_path / "a.csv").read_text().split("\n", 1)[1]
+    assert body.startswith("bin_lo,bin_hi,total,violating,proportion\n")
+    assert printed == body + summary
 
 
 def test_manifest_stamps_the_environment(tmp_path):
@@ -242,6 +292,18 @@ def test_ri_prints_estimate(capsys, tmp_path):
     assert doc["random_index"] == pytest.approx(0.884, abs=0.02)
 
 
+@pytest.mark.parametrize("argv", [
+    ["audit", "KINKED", "--factors", "1.01,x"],
+    ["enumerate", "--beta", "0.1", "--factors", "abc"],
+])
+def test_bad_factor_token_exits_2(argv, kinked_file, capsys):
+    argv = [kinked_file if a == "KINKED" else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"bad factor list {argv[-1]!r}" in capsys.readouterr().err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
@@ -251,6 +313,14 @@ def test_version_flag(capsys):
 
 SIMULATE = ["simulate", "--n", "4", "--scale", "discrete", "--seed", "1", "--iters", "10"]
 ENUMERATE = ["enumerate", "--stride", "1000000"]
+# argv placeholders, each replaced by the path of a file holding this text
+FILES = {
+    "KINKED": KINKED_TEXT,
+    "NOT_A_CHECKPOINT": '{"schema": "pcmaudit.run/v1"}\n',
+    "SIZE_NOT_INT": "# size next\n2.5\n1 2\n1/2 1\n",
+    "SIZE_ONE": "1\n1\n",
+    "SHORT_ROW": "3\n1 2 4\n1/2 1\n1/4 1/2 1\n",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,9 +349,17 @@ ENUMERATE = ["enumerate", "--stride", "1000000"]
     ENUMERATE + ["--beta", "0.1", "--factors", "1.01", "--checkpoint-every", "-5"],
     ["gen", "--n", "4", "--scale", "discrete", "--seed", "1", "--count", "0"],
     ["gen", "--n", "4", "--scale", "discrete", "--seed", "1", "--count", "-3"],
+    ENUMERATE + ["--factors", "1.01"],
+    ENUMERATE + ["--beta", "0.1", "--factors", "1.01", "--checkpoint", "NOT_A_CHECKPOINT",
+                 "--resume"],
+    ["analyze", "SIZE_NOT_INT"],
+    ["analyze", "SIZE_ONE"],
+    ["audit", "SHORT_ROW"],
 ])
-def test_bad_parameters_exit_2(argv, kinked_file, capsys):
-    argv = [kinked_file if a == "KINKED" else a for a in argv]
+def test_bad_parameters_exit_2(argv, tmp_path, capsys):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in FILES else a for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")

@@ -1,10 +1,16 @@
 """Tests for matrix construction, validation, perturbation, and the text format."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcmaudit
 from pcmaudit import (
     MatrixParseError,
     PairwiseComparisonMatrix,
@@ -173,6 +179,16 @@ def test_content_digest_distinguishes_matrices(kinked_matrix):
     assert kinked_matrix.content_digest() == build_matrix(4, KINKED_UPPER).content_digest()
 
 
+def test_import_does_not_load_hashlib():
+    # hashlib loads OpenSSL; only content_digest needs it, and imports it itself
+    code = "import sys, pcmaudit; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    path = [str(Path(pcmaudit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 def test_parse_matrix_fractions():
     text = "3\n1 2 8\n1/2 1 2\n1/8 1/2 1\n"
     m = parse_matrix(text)
@@ -195,6 +211,14 @@ def test_parse_matrix_errors_carry_position():
         parse_matrix("")
     with pytest.raises(ValidationError, match=r"\(2,1\)"):
         parse_matrix("2\n1 2\n0.6 1\n")
+    # line numbers count from 1 and include comment and blank lines
+    with pytest.raises(MatrixParseError, match=r"size, got '2\.5' \(line 3\)$") as info:
+        parse_matrix("# a comment\n\n2.5\n1 2\n1/2 1\n")
+    assert info.value.line == 3
+    with pytest.raises(MatrixParseError, match=r"at least 2, got 1 \(line 2\)$"):
+        parse_matrix("# a comment\n1\n1\n")
+    with pytest.raises(MatrixParseError, match=r"row 2 has 2 entries, expected 3 \(line 4\)$"):
+        parse_matrix("3\n1 2 4\n\n1/2 1\n1/4 1/2 1\n")
 
 
 def test_text_round_trip(tmp_path, kinked_matrix, rng):

@@ -1,12 +1,15 @@
-"""Parity gate: the CSV bytes of five batch runs, the JSON histograms of two
-of them and the audit reports of the benchmark matrix files are pinned.
+"""Parity gate: the CSV and run-JSON bytes of five batch runs, the JSON
+histograms of two of them, the JSON reports of analyze, audit and ri, and
+the audit reports of the benchmark matrix files are pinned.
 
 The CSV digests were recorded before the batch paths moved onto one audit
 scan, one chunk pipeline and one fan-out helper. A later kernel or pipeline
 change must reproduce them byte for byte, with one worker and with two.
 The JSON histogram digests cover what the CSVs do not, the lowest-CR
 violating example and its witnessing (i, j, k); they were recorded while
-the audit still scanned the upper entries in row-major order.
+the audit still scanned the upper entries in row-major order. The whole
+run-JSON and report digests were recorded while each command still built
+its JSON envelope by hand; they pin its key order and formatting too.
 """
 
 import hashlib
@@ -18,33 +21,41 @@ import pytest
 from pcmaudit import min_violation_factor_scan, read_matrix_file
 from pcmaudit.cli import main
 
+REPO = Path(__file__).resolve().parents[1]
+MATRICES = REPO / "benchmarks" / "matrices"
+
 RUNS = {
     "enumerate_fig5_stride1000": (
         ["enumerate", "--preset", "fig5", "--stride", "1000"],
         {"_1.001.csv": "5e3c87f4789fe93685c3ae92225444638c95e8f7c68d8581c1cabf1a85ecbcf8",
          "_1.01.csv": "6843951360605143288f32bea05a67291ccaf266c30fda41f65d88b62b12e8dc",
-         "_1.1.csv": "308ec7265db610a05da4651b21a3099ea167e1926a6db632fe15c4d4ba467b4f"},
+         "_1.1.csv": "308ec7265db610a05da4651b21a3099ea167e1926a6db632fe15c4d4ba467b4f",
+         ".json": "85f599954f6f3ce00999190ee5cc23e90b0f8773f03897f11b09537145837586"},
     ),
     "simulate_fig2_n9": (
         ["simulate", "--preset", "fig2", "--n", "9", "--scale", "discrete",
          "--seed", "3", "--iters", "20000"],
-        {".csv": "17d60d00bce2303c659cae5a517d0937b24039728010f13927b173edc7398a85"},
+        {".csv": "17d60d00bce2303c659cae5a517d0937b24039728010f13927b173edc7398a85",
+         ".json": "271658abb31fe6a866a6455c71d121043e105dc660f8b4b29df9ec3243a34fc5"},
     ),
     "simulate_fig2_n6_continuous": (
         ["simulate", "--preset", "fig2", "--n", "6", "--scale", "continuous",
          "--seed", "3", "--iters", "20000"],
-        {".csv": "ca53a79f5b42f729039c2ab0fc2a9d2904d6381ac46be745a60770d0e7610fff"},
+        {".csv": "ca53a79f5b42f729039c2ab0fc2a9d2904d6381ac46be745a60770d0e7610fff",
+         ".json": "de9ebd9a41d55135ba84cc97e8631d4329d2e064e947003a5bf143c1bfe69480"},
     ),
     "simulate_fig4_n6": (
         ["simulate", "--preset", "fig4", "--n", "6", "--scale", "discrete",
          "--seed", "3", "--iters", "20000"],
-        {".csv": "125933699c36dce9af4fced23225838c90962a9971bc1e5e471cfaa8c55f5605"},
+        {".csv": "125933699c36dce9af4fced23225838c90962a9971bc1e5e471cfaa8c55f5605",
+         ".json": "d303a81f978b03b0de4fd7fc0eb7ba5a617115fa95e04f0a78e7f59bb19ba9b5"},
     ),
     # recorded before over-cap rows were settled by a Collatz-Wielandt screen
     "simulate_fig4_n9": (
         ["simulate", "--preset", "fig4", "--n", "9", "--scale", "discrete",
          "--seed", "3", "--iters", "20000"],
-        {".csv": "8c51173ae268085415a1c097d420b3f77ac91c55f624390ddacf3661e4a62ed7"},
+        {".csv": "8c51173ae268085415a1c097d420b3f77ac91c55f624390ddacf3661e4a62ed7",
+         ".json": "f06fd33180ba5088fe133f511b9948daeb8ef12fa2afa7ed52e786594af94809"},
     ),
 }
 
@@ -72,12 +83,42 @@ def test_csv_bytes_match_pinned_digests(name, tmp_path, capsys):
             assert digest == HISTOGRAM_DIGESTS[name], f"histogram, --workers {workers}"
 
 
+# The whole --json report of each single-matrix command. The matrix paths are
+# relative to the repository root, which the test runs from, since a report's
+# config holds the path as given.
+REPORTS = {
+    "analyze": (
+        ["analyze", "benchmarks/matrices/n4_counterexample.txt"],
+        "19c81073b00db6194199b741d087d81a0e27cd9669c7f0390a8854726432f8e4"),
+    "analyze_continuous_n9": (
+        ["analyze", "benchmarks/matrices/n9_continuous.txt", "--scale", "continuous"],
+        "7b9acf85df7ea7590ea548ff812082bee665f1a3a04789b26c71c6450f22a23a"),
+    "audit_em": (
+        ["audit", "benchmarks/matrices/n4_counterexample.txt", "--factors", "1.001,1.01,1.1"],
+        "f661a260a4148b7187727ca29bbc70bd7f21abf45f71d029515021c7822768b0"),
+    "audit_rgm": (
+        ["audit", "benchmarks/matrices/n4_counterexample.txt", "--method", "rgm",
+         "--factors", "1.001,1.01,1.1"],
+        "40b3ea44135e24145cf9739e2a57f5991b3620734067ac9a74541984f450c6a7"),
+    "ri": (
+        ["ri", "--n", "4", "--scale", "discrete", "--samples", "20000", "--seed", "2"],
+        "421531df9fb14ae9a2f6980de35cd65922ab61ff53d6121de6ed3a66c37f2378"),
+}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_json_reports_match_pinned_digests(name, tmp_path, monkeypatch, capsys):
+    argv, digest = REPORTS[name]
+    monkeypatch.chdir(REPO)
+    assert main(argv + ["--json", str(tmp_path / "report.json")]) == 0
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
+
+
 # The audit reports of every benchmark matrix file at three factors, as
 # `pcmaudit audit --factors 1.001,1.01,1.1 --json` writes them under
 # "reports", one JSON line per file in name order. The digests were recorded
 # while the scalar audit still ran its own per-entry loop; the ratio floats
 # must match them bit for bit.
-MATRICES = Path(__file__).resolve().parents[1] / "benchmarks" / "matrices"
 AUDIT_FACTORS = (1.001, 1.01, 1.1)
 AUDIT_DIGESTS = {
     "em": "7e546e09258205a85decc852c2128dbc1c8bda7ef7a9cb9ec1346b38cee45722",
