@@ -119,57 +119,62 @@ three factors took 4.1 ms against 4.7 ms when compacting on every
 acceptance; on 4096-matrix blocks at one factor (n = 6 continuous, n = 9
 discrete) the lazy rule cost 1-3%.
 
-Block size. Every eigenvector block takes the chord steps. In small blocks
-numpy's per-call cost outweighs the arithmetic, so a block that skips the
-predicted-entry stage and whose (column, entry) pairs fit in ``AUDIT_BLOCK``
-solves them all in one :func:`_pair_scan` call, with no early exit. Against
-the squaring scan that took blocks under 128 matrices before (best of 5 over
-20 blocks of 1-127 per case, 1 or 3 factors, 2 vCPUs) it took 0.11-0.83 of
+Scan orders. :func:`_scan_order` only yields a block's solves, each a
+chord call on some columns at one shared entry or at one entry per column;
+every flag and every failure comes from the one step in
+:func:`_audit_block`, which solves each call, marks the columns whose solve
+failed and flags those whose converged solve drops some ratio. The order
+decides which solves run, never how one is judged, so ``violated`` and
+``ok`` do not depend on it (:func:`violation_flags` states the rule).
+Each block takes one of three orders. The row-major order yields one upper
+entry per call, over the columns not yet flagged, so a column leaves at its
+first flag. The all-pairs order yields every (column, entry) pair of the
+block in one call, and the predicted order every column at its predicted
+entry and then the other entries of the columns left unflagged, as pairs
+at most ``AUDIT_BLOCK`` a call; there is no early exit among pairs.
+
+Block size. In small blocks numpy's per-call cost outweighs the
+arithmetic, so a block that does not take the predicted order below and
+whose (column, entry) pairs fit in ``AUDIT_BLOCK`` has them all yielded in
+one call. Against per-entry squaring solves (best of 5 over 20 blocks of
+1-127 matrices per case, 1 or 3 factors, 2 vCPUs) that took 0.11-0.83 of
 the time at n >= 4, 1.03 for one matrix at n = 9 and 3 factors, and up to
 1.28 (0.12 ms) at n = 3; fig4's under-cap blocks, a quarter to a fifth.
 
 Predicted entry. In a block at n >= ``PREDICT_MIN_N`` whose columns
-mostly flag, the early-exit scan does not walk the upper entries in
-row-major order; it solves first, for each column, the entry predicted to
-flag it. The w-block M of the bordered inverse maps w0 to zero (the
-bordered system with right-hand side (w0, 0) is solved by (0, -1)), and
-the base residual is below the noise, so the first
-chord iterate for a raise of a_ij is w0 - d_ij w0_j M[:, i] - d_ji w0_i
-M[:, j], whatever its lam. With G[p, q] = M[p, q] / w0_p, alpha = d_ij w0_j
-and beta = d_ji w0_i, that step moves ln(w_i/w_k) by alpha (G_ki - G_ii) +
-beta (G_kj - G_ij): O(n) per (entry, k), and no solve.
-:func:`_predict_entries` picks, per column, the entry whose move is the most
-negative over k, in slabs of ``SLAB`` columns, which bounds its
-temporaries. :func:`_pair_scan`, given those entries first, solves every
-column at its own entry in one chord call; the columns that call does not
-flag stay held, and all their other entries are solved at once as (column,
-entry) pairs, at most ``AUDIT_BLOCK`` pairs per call. The prediction only
-orders the work:
-every flag still comes from a converged chord solve, or the squaring
-fallback, under the same residual test and margin, so ``violated`` and
-``ok`` are those of the row-major scan (:func:`violation_flags` states the
-failure rule, which does not depend on the order). The scan returns
-flags alone, so the order leaves no trace (see Witness below). At factor
-1.01, over 16,384 matrices per case, the predicted entry flagged 99.8%
-(n = 5) to 100.0% (n = 9) of the violating matrices, against 16-17% for
-entry (1, 2), and the perturbed solves per matrix fell from 6.3-6.5 to 3.9
-(n = 5), 2.6 (n = 6) and 1.06 (n = 9, discrete).
+mostly flag, the order does not walk the upper entries in row-major order;
+it yields first, for each column, the entry predicted to flag it. The
+w-block M of the bordered inverse maps w0 to zero (the bordered system with
+right-hand side (w0, 0) is solved by (0, -1)), and the base residual is
+below the noise, so the first chord iterate for a raise of a_ij is
+w0 - d_ij w0_j M[:, i] - d_ji w0_i M[:, j], whatever its lam. With
+G[p, q] = M[p, q] / w0_p, alpha = d_ij w0_j and beta = d_ji w0_i, that step
+moves ln(w_i/w_k) by alpha (G_ki - G_ii) + beta (G_kj - G_ij): O(n) per
+(entry, k), and no solve. :func:`_predict_entries` picks, per column, the
+entry whose move is the most negative over k, in slabs of ``SLAB``
+columns, which bounds its temporaries. One chord call solves every column
+at its own entry; the columns it does not flag stay held, and their other
+entries follow as (column, entry) pairs. The prediction only orders the
+work. The scan returns flags alone, so the order leaves no trace (see
+Witness below). At factor 1.01, over 16,384 matrices per case, the
+predicted entry flagged 99.8% (n = 5) to 100.0% (n = 9) of the violating
+matrices, against 16-17% for entry (1, 2), and the perturbed solves per
+matrix fell from 6.3-6.5 to 3.9 (n = 5), 2.6 (n = 6) and 1.06 (n = 9,
+discrete).
 
-What the stage adds is the prediction, one solve per column that its
-entry does not flag, and a pair scan over those columns with no early exit
-and one entry per solve, which indexes more per step than a shared entry.
-So the gain tracks the share of columns that flag, not n: where few flag,
-as among the under-cap matrices that a fig4 run audits, the stage costs.
-:func:`_predict_entries` measures that share, in the slab pass that picks
-the entries and before any solve, as the share of the block's columns whose
-least first-order move lies below the drop test's threshold; on every
-population below, that share over a sample of 256 columns was within 0.01
-of the share the solves flagged. The stage runs where it is at least
-``PREDICT_MIN_SHARE``. Timing ``violation_flags`` with
-the row-major scan, with the stage forced and as gated, alternately (10
-rounds, 2 vCPUs, numpy 2.4.6; 16,384 matrices in blocks of 4096 at factor
-1.01, their under-cap rows for fig4, and eight stride-299 sweep chunks of
-about 440 matrices at three factors):
+What the predicted order adds is the prediction, one solve per column that
+its entry does not flag, and pairs with no early exit and one entry per
+solve, which index more per step than a shared entry. So the gain tracks
+the share of columns that flag, not n: where few flag, as among the
+under-cap matrices that a fig4 run audits, it costs. :func:`_predict_entries`
+measures that share, in the slab pass that picks the entries and before any
+solve, as the share of the block's columns whose least first-order move
+lies below the drop test's threshold. The predicted order runs where that
+share is at least ``PREDICT_MIN_SHARE``. Timing ``violation_flags`` with
+the row-major order, with the predicted order forced and as gated,
+alternately (10 rounds, 2 vCPUs, numpy 2.4.6; 16,384 matrices in blocks of
+4096 at factor 1.01, their under-cap rows for fig4, and eight stride-299
+sweep chunks of about 440 matrices at three factors):
 
     ===============================  =====  =====  =========  ========  ======
     population                       rows   flag   row-major  forced    gated
@@ -191,26 +196,24 @@ about 440 matrices at three factors):
     fig4 n = 7 continuous            169    0.39   6.3 ms     0.51      0.50
     ===============================  =====  =====  =========  ========  ======
 
-The forced and gated columns are time ratios to the row-major scan. "row"
-means the gate (at n = 4, ``PREDICT_MIN_N``) kept the row-major scan; those
-runs read 0.99-1.07 of the row-major time, when the gate read a sample of
-256 columns. Predicting every column instead, in alternating runs of five
-chunks at factor 1.01, took the audit of fig4's under-cap rows from 20.7 to
-21.3 ms at n = 5 (about 1,870 rows) and from 13.2 to 13.5 ms at n = 6, and
-from 4.4 to 3.9 ms at n = 7, where the stage runs and no longer computes its
-sample's moves twice.
-Where the gate passes, forced and gated run the same code, and their
-ratios differ by up to 0.1, the spread of these timings. Blocks of fig2
-matrices drawn to a set share of flagging columns (n = 5 and 6, discrete)
-put the crossover at a share of 0.15-0.25 for blocks of 600 columns and
-0.35-0.5 for 1500 and 4096: the fewer the columns, the more the row-major
-scan's one call per entry costs. A share of 0.25 keeps every fig4
-population at n <= 6 on the row-major scan, where the stage read 0.96-1.30
-of its time, and sends fig4 at n = 7, where it halves that time, to the
-stage; blocks of 1500 columns and more at a share of 0.25-0.35 pay up to
-about 10% for that. n <= 4, which is the sweep, keeps the row-major scan at
-any share: with six upper entries the stage did not pay even where a third
-of the columns flag (fig2 at n = 4).
+The forced and gated columns are time ratios to the row-major order. "row"
+means the gate (at n = 4, ``PREDICT_MIN_N``) kept the row-major order.
+Where it does at n >= 5, the prediction is the gate's whole cost: on the
+under-cap rows of five fig4 chunks at n = 5 and 6 (600-1,900 rows a chunk,
+factor 1.01, 12 alternating rounds), the gated audit took a median
+1.04-1.06 of the time with no prediction. Where the gate passes, the
+predicted order reuses the moves, and forced and gated run the same code;
+their ratios differ by up to 0.1, the spread of these timings. Blocks of
+fig2 matrices drawn to a set share of flagging columns (n = 5 and 6,
+discrete) put the crossover at a share of 0.15-0.25 for blocks of 600
+columns and 0.35-0.5 for 1500 and 4096: the fewer the columns, the more the
+row-major order's one call per entry costs. A share of 0.25 keeps every
+fig4 population at n <= 6 on the row-major order, where the predicted one
+read 0.96-1.30 of its time, and sends fig4 at n = 7, where it halves that
+time, to the predicted order; blocks of 1500 columns and more at a share of
+0.25-0.35 pay up to about 10% for that. n <= 4, which is the sweep, keeps
+the row-major order at any share: with six upper entries the predicted
+order did not pay even where a third of the columns flag (fig2 at n = 4).
 
 Full scan. :func:`_full_scan` solves every upper entry of every column by
 squaring, or by the geometric mean, with no early exit. The scalar audit in
@@ -246,7 +249,7 @@ RESIDUAL_RTOL = 1e-12
 # Chord steps per perturbed solve before falling back to squaring.
 CHORD_STEPS = 12
 # Matrices per audit block, each bringing one column per factor, and
-# (column, entry) pairs per chord call of the pair scan; bounds their
+# (column, entry) pairs per chord call of the pair orders; bounds their
 # working sets.
 AUDIT_BLOCK = 4096
 # Blocks of matrices this size and up solve each column's predicted
@@ -409,8 +412,8 @@ def violation_flags(
     at f when any converged perturbed solve flags it; it is a failure at f
     only when none does and some solve did not converge. That rule does not
     depend on the order in which entries are solved. The solves run on the
-    chord scan, in blocks of ``AUDIT_BLOCK`` matrices, and a matrix flagged
-    at f is not solved further at f. Returns ``(violated, ok)``, booleans of
+    chord scan, in blocks of ``AUDIT_BLOCK`` matrices, in one of the orders
+    of the module docstring. Returns ``(violated, ok)``, booleans of
     shape (F, B) indexed by factor first, ``ok`` False for failures. A
     flagged matrix's witness is read by :func:`first_violations`.
     """
@@ -453,34 +456,71 @@ def first_violations(mats: np.ndarray, factor: float, margin: float) -> np.ndarr
 def _audit_block(mats, w0, factors, thresh):
     """The chord scan of one block: the flat (F*B,) ``violated`` and ``ok``
     of :func:`violation_flags`, column c being matrix c % B at factor
-    ``factors[c // B]``. A block at n >= ``PREDICT_MIN_N`` in which
-    :func:`_predict_entries` finds that at least ``PREDICT_MIN_SHARE`` of the
-    columns flag takes :func:`_pair_scan` with each column's predicted entry
-    first, and a block whose (column, entry) pairs fit in one call takes it
-    without; the others scan the entries in row-major order, a column
-    leaving at its first flag.
+    ``factors[c // B]``. :func:`_scan_order` only yields the solves; each
+    one is solved here and its failures and flags marked, so this loop is
+    the one place where a chord solve becomes a flag or a failure.
     """
-    n = mats.shape[1]
     chord = _ChordSolver(mats, w0, factors)
     w0 = np.tile(w0, (factors.size, 1))
+    violated, failed = np.zeros((2, len(w0)), dtype=bool)
+    w_first = None
+    for cols, i, j in _scan_order(chord, thresh, violated):
+        w1, ok = chord.solve(cols, i, j)
+        # w_first stays alive through the block: freed before the pairs of
+        # the predicted order allocate, it raised the peak RSS of 20 fig2
+        # n = 9 chunks by 6-7 MB (glibc's mmap threshold), with the same
+        # tracemalloc peak
+        w_first = w1 if w_first is None else w_first
+        failed[cols[~ok]] = True
+        if isinstance(i, np.ndarray):
+            i = i[ok]
+        cols = cols[ok]
+        violated[cols[np.any(_drops(w0[cols], w1[ok], i, thresh), axis=1)]] = True
+    return violated, violated | ~failed
+
+
+def _scan_order(chord, thresh, violated):
+    """Yield the chord solves of one block as ``(cols, i, j)``, holding in
+    ``chord`` the columns each one needs; the caller marks the flags in
+    ``violated``, which is re-read before each entry.
+
+    A block at n >= ``PREDICT_MIN_N`` in which :func:`_predict_entries`
+    finds that at least ``PREDICT_MIN_SHARE`` of the columns flag yields
+    each column at its predicted entry in one call, then the other entries
+    of the columns that call left unflagged as (column, entry) pairs, at
+    most ``AUDIT_BLOCK`` a call. A block whose pairs fit in one call yields
+    them at once. The others yield one shared entry a call, in row-major
+    order, over the columns not yet flagged, and stop once every column has
+    flagged.
+    """
+    n = len(chord.w0)
+    iu, ju = np.triu_indices(n, 1)
+    cols = chord.cols
     first = None
     if n >= PREDICT_MIN_N:
         first, share = _predict_entries(chord, thresh)
         if share < PREDICT_MIN_SHARE:
             first = None
-    if first is not None or len(w0) * (n * (n - 1) // 2) <= AUDIT_BLOCK:
-        violated, failed = _pair_scan(chord, w0, thresh, first)
-        return violated, violated | ~failed
-    violated, failed = np.zeros((2, len(w0)), dtype=bool)
-    for i, j in itertools.combinations(range(n), 2):
-        active = np.flatnonzero(~violated)
-        if active.size == 0:
-            break
-        w1, ok1 = chord.solve(active, i, j)
-        failed[active[~ok1]] = True
-        active = active[ok1]
-        violated[active[np.any(_drops(w0[active], w1[ok1], i, thresh), axis=1)]] = True
-    return violated, violated | ~failed
+    if first is None and cols.size * iu.size > AUDIT_BLOCK:
+        for i, j in itertools.combinations(range(n), 2):
+            cols = np.flatnonzero(~violated)
+            if cols.size == 0:
+                return
+            chord.hold(cols)
+            yield cols, i, j
+        return
+    if first is not None:
+        yield cols, iu[first], ju[first]
+        cols = np.flatnonzero(~violated)
+        chord.hold(cols)
+    pair_col = np.repeat(cols, iu.size)
+    pair_e = np.tile(np.arange(iu.size), cols.size)
+    if first is not None:
+        keep = pair_e != first[pair_col]
+        pair_col, pair_e = pair_col[keep], pair_e[keep]
+    for lo in range(0, pair_col.size, AUDIT_BLOCK):
+        e = pair_e[lo:lo + AUDIT_BLOCK]
+        yield pair_col[lo:lo + AUDIT_BLOCK], iu[e], ju[e]
 
 
 def _full_scan(mats, w0, factors, thresh, use_eigen):
@@ -517,44 +557,6 @@ def _drops(w0: np.ndarray, w1: np.ndarray, i, thresh: float) -> np.ndarray:
     worse = w1[at, i, None] / w1 < w0[at, i, None] / w0 * thresh
     worse[at, i] = False
     return worse
-
-
-def _pair_scan(chord, w0, thresh, first=None):
-    """Solve every upper entry of each held column as (column, entry) pairs,
-    at most ``AUDIT_BLOCK`` pairs per chord call.
-
-    ``w0`` holds the unperturbed weights of every column. With ``first``,
-    one entry per column, one chord call first solves each column at its own
-    entry; only the columns that it does not flag stay held, and their other
-    entries are solved as pairs. Returns, per column, whether some converged
-    solve flagged it and whether some solve failed.
-    """
-    n = w0.shape[1]
-    iu, ju = np.triu_indices(n, 1)
-    cols = chord.cols
-    violated = np.zeros(cols.size, dtype=bool)
-    failed = np.zeros(cols.size, dtype=bool)
-    if first is not None:
-        # w_first stays alive through the pairs: freed before they allocate,
-        # it raised the peak RSS of 20 fig2 n = 9 chunks by 6-7 MB (glibc's
-        # mmap threshold), with the same tracemalloc peak
-        w_first, ok = chord.solve(cols, iu[first], ju[first])
-        failed[~ok] = True
-        violated[ok] = np.any(_drops(w0[ok], w_first[ok], iu[first[ok]], thresh), axis=1)
-        cols = np.flatnonzero(~violated)
-        chord.hold(cols)
-    pair_col = np.repeat(cols, iu.size)
-    pair_e = np.tile(np.arange(iu.size), cols.size)
-    if first is not None:
-        keep = pair_e != first[pair_col]
-        pair_col, pair_e = pair_col[keep], pair_e[keep]
-    for lo in range(0, pair_col.size, AUDIT_BLOCK):
-        c, e = pair_col[lo:lo + AUDIT_BLOCK], pair_e[lo:lo + AUDIT_BLOCK]
-        w1, ok1 = chord.solve(c, iu[e], ju[e])
-        failed[c[~ok1]] = True
-        c, e = c[ok1], e[ok1]
-        violated[c[np.any(_drops(w0[c], w1[ok1], iu[e], thresh), axis=1)]] = True
-    return violated, failed
 
 
 def _predict_entries(chord, thresh: float) -> tuple[np.ndarray, float]:
@@ -674,9 +676,9 @@ class _ChordSolver:
     c is matrix c % B at factor ``factors[c // B]``. A w0 and the w-block of
     the inverse of the bordered Jacobian [[A - lam0 I, -w0], [1^T, 0]] are
     computed once per matrix, the inverse by :func:`_bordered_inverse`, and,
-    with A, tiled to the columns in (n, n, F*B) layout. The held columns
-    shrink with the audit's active set, so every step works on contiguous
-    arrays.
+    with A, tiled to the columns in (n, n, F*B) layout. The scan order
+    narrows the held columns with its active set (:meth:`hold`), so every
+    step works on contiguous arrays.
     """
 
     def __init__(self, mats: np.ndarray, w0: np.ndarray, factors: np.ndarray) -> None:
@@ -713,10 +715,9 @@ class _ChordSolver:
         scaled by the column's factor and a_ji by its reciprocal, and their
         ``ok`` flags.
 
-        ``cols`` is a sorted subset of the held columns. With one entry
-        (``i``, ``j``) for all, it becomes the held set, as the row-major
-        scan narrows it. With ``i`` and ``j`` one per solve, a column may
-        repeat, once per entry, and the held set stays.
+        ``cols`` is a sorted run of held columns, and the held set stays.
+        ``i`` and ``j`` are one entry for all, or one per solve, in which
+        case a column may repeat, once per entry.
         Each chord step is w -= M (A'w - lam w), with M the held inverse
         block and lam the mean ratio (A'w)_p / w_p. An iterate is accepted
         under :func:`perron_batch`'s residual test, and only while positive;
@@ -727,8 +728,6 @@ class _ChordSolver:
         :func:`perron_batch` on an explicit perturbed copy.
         """
         per_solve = np.ndim(i) > 0
-        if not per_solve:
-            self.hold(cols)
         fac, a, w, aw, inv = self._take(cols)
         at = np.arange(cols.size) if per_solve else slice(None)
         entry = i, j

@@ -20,14 +20,13 @@ solve as before.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bulk
 from .consistency import CI_NOISE_CLAMP, default_random_index_table
-from .errors import ValidationError
+from .errors import ConfigurationError, ValidationError
 from .fanout import ordered_map
 from .generate import SUBSTREAM_CHUNK, GeneratorConfig, generate_batch, matrices_from_upper
 from .monotonic import VIOLATION_MARGIN
@@ -85,7 +84,6 @@ class CrHistogram:
     overflow: list[int] = field(default_factory=lambda: [0, 0])
     boundary_ties: int = 0
     failures: int = 0
-    samples: int = 0
     min_cr_example: MinCrExample | None = None
 
     def __post_init__(self) -> None:
@@ -150,7 +148,6 @@ class CrHistogram:
         and ``tie[r]`` marks a boundary tie. Rows in ``counted`` count once,
         and those also in ``hit`` count as violating."""
         self.boundary_ties += int(np.count_nonzero(tie & counted))
-        self.samples += int(np.count_nonzero(counted))
         totals = np.bincount(slot[counted], minlength=keys.size)
         violating = np.bincount(slot[counted & hit], minlength=keys.size)
         if self.cap_bins is not None:
@@ -164,15 +161,6 @@ class CrHistogram:
             bin_counts = self.bins.setdefault(idx, [0, 0])
             bin_counts[0] += total
             bin_counts[1] += hits
-
-    def record_failures(self, count: int) -> None:
-        self.failures += count
-        self.samples += count
-
-    def record_overflow(self, count: int) -> None:
-        """Count matrices known to bin in overflow, with no tie, unaudited."""
-        self.overflow[0] += count
-        self.samples += count
 
     def offer_min_example(self, candidate: MinCrExample | None) -> None:
         if candidate is None:
@@ -192,7 +180,6 @@ class CrHistogram:
         self.overflow[1] += other.overflow[1]
         self.boundary_ties += other.boundary_ties
         self.failures += other.failures
-        self.samples += other.samples
         self.offer_min_example(other.min_cr_example)
 
     @property
@@ -202,6 +189,12 @@ class CrHistogram:
     @property
     def total_violating(self) -> int:
         return sum(v for _, v in self.bins.values()) + self.overflow[1]
+
+    @property
+    def samples(self) -> int:
+        """Every matrix recorded: each is counted in a bin, in overflow or
+        as a failure."""
+        return self.total + self.failures
 
     def bin_counts(self, lo: float) -> tuple[int, int]:
         """(total, violating) of the bin whose lower edge is ``lo``."""
@@ -239,18 +232,21 @@ class CrHistogram:
             else self.min_cr_example.to_dict(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, doc: dict) -> "CrHistogram":
+        """The histogram of a :meth:`to_dict` document, whose ``samples``
+        must equal its counts: a checkpoint whose counts disagree with it is
+        corrupt, and resuming from it would carry the error forward."""
         hist = cls(beta=doc["beta"], cap=doc.get("cap"))
         hist.bins = {entry["m"] - 1: [entry["total"], entry["violating"]]
                      for entry in doc["bins"]}
         hist.overflow = [doc["overflow"]["total"], doc["overflow"]["violating"]]
         hist.boundary_ties = doc["boundary_ties"]
         hist.failures = doc["failures"]
-        hist.samples = doc["samples"]
+        if doc["samples"] != hist.samples:
+            raise ConfigurationError(
+                f"histogram counts {hist.total} matrices and {hist.failures} failures, "
+                f"but its samples field says {doc['samples']}")
         if doc.get("min_cr_example"):
             hist.min_cr_example = MinCrExample.from_dict(doc["min_cr_example"])
         return hist
@@ -326,8 +322,8 @@ def audit_population(
         counted[audit_at[~ok_f]] = False
         hit = np.zeros(solved.size, dtype=bool)
         hit[audit_at[flags_f]] = True
-        hist.record_failures(len(mats) - int(np.count_nonzero(counted)))
-        hist.record_overflow(settled)
+        hist.failures += len(mats) - int(np.count_nonzero(counted))
+        hist.overflow[0] += settled  # certified to bin there, with no tie
         hist.record_binned(keys, slot, tie, counted, hit)
         if flags_f.any():
             hist.offer_min_example(_min_example(audited, cr, flags_f))

@@ -11,6 +11,7 @@ with ``full``, the reference for the no-early-exit scan behind
 import functools
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from pcmaudit import GeneratorConfig, build_matrix, bulk
 from pcmaudit.consistency import default_random_index_table
 from pcmaudit.errors import ValidationError
 from pcmaudit.generate import SAATY_VALUES, generate_batch
-from pcmaudit.matrix import matrices_from_upper
+from pcmaudit.matrix import matrices_from_upper, read_matrix_file
 
+REPO = Path(__file__).resolve().parents[1]
 FACTORS = (1.001, 1.01, 1.1)
 
 
@@ -259,30 +261,98 @@ def test_a_failed_solve_does_not_hide_a_flag_at_another_entry(monkeypatch, n, pr
     _assert_same(_one(bulk.violation_flags(mats, w0, (1.01,), 1e-9)), (violated, violated))
 
 
+def _recorded_solves(monkeypatch):
+    """A list that receives each chord call's ``(cols, i, j)``, in order."""
+    calls = []
+    solve = bulk._ChordSolver.solve
+
+    def spy(self, cols, i, j):
+        calls.append((cols, i, j))
+        return solve(self, cols, i, j)
+
+    monkeypatch.setattr(bulk._ChordSolver, "solve", spy)
+    return calls
+
+
 def test_predicted_stage_runs_where_most_columns_flag(monkeypatch):
     # at n = 5 most random matrices flag; few of those under CR 0.4, the
-    # ones a fig4 run audits, do. The stage runs on the first only, and
-    # either way the flags and witnesses are those of the squaring scan.
+    # ones a fig4 run audits, do. The predicted order runs on the first
+    # only, and either way the flags and witnesses are those of the
+    # squaring scan.
     mats, w0 = _population(5, "discrete", 4096)
     lam = bulk.perron_batch(mats)[0]
     ri = default_random_index_table("discrete").lookup(5)
     low = np.flatnonzero((lam - 5) / 4 / ri < 0.4)
-    calls = []
-    scan = bulk._pair_scan
-
-    def spy(chord, w0, thresh, first=None):
-        calls.append(first is not None)
-        return scan(chord, w0, thresh, first)
-
-    monkeypatch.setattr(bulk, "_pair_scan", spy)
+    calls = _recorded_solves(monkeypatch)
     for rows, predicted in ((np.arange(1024), True), (low, False)):
         calls.clear()
         got = _one(bulk.violation_flags(mats[rows], w0[rows], (1.01,), 1e-9))
-        assert any(calls) == predicted
+        # the predicted order opens with one entry per column, over every column
+        cols, i, _ = calls[0]
+        assert (np.ndim(i) == 1 and np.array_equal(cols, np.arange(rows.size))) == predicted
         want = squaring_scan(mats[rows], w0[rows], 1.01, 1e-9)
         _assert_same(got, want)
         _assert_witness(want, mats[rows], 1.01)
         assert want[0].mean() > 0.5 if predicted else want[0].mean() < 0.25
+
+
+def _unflagged_population(n, count=512):
+    """Matrices a_ij = exp(s_i - s_j + 0.1 z_ij), s and z standard normal,
+    and their Perron vectors: so near consistency that no raise at FACTORS
+    flags one."""
+    rng = np.random.default_rng(n)
+    iu, ju = np.triu_indices(n, 1)
+    s = rng.standard_normal((count, n))
+    mats = matrices_from_upper(
+        n, np.exp(s[:, iu] - s[:, ju] + 0.1 * rng.standard_normal((count, iu.size))))
+    _, w0, _, ok = bulk.perron_batch(mats)
+    assert ok.all()
+    return mats, w0
+
+
+# PREDICT_MIN_SHARE and AUDIT_BLOCK that force each order on 512 matrices
+# at three factors: 1536 columns, 15 or 21 upper entries each
+ORDERS = {"row-major": (2.0, 4096), "predicted": (0.0, 1000), "all pairs": (2.0, 10**5)}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("n", [5, 6])
+def test_each_order_solves_every_entry_of_an_unflagged_column_once(monkeypatch, n, order):
+    # flags alone cannot show an entry that an order skips, if it would not
+    # have flagged: count the (column, entry) solves instead
+    share, block = ORDERS[order]
+    monkeypatch.setattr(bulk, "PREDICT_MIN_SHARE", share)
+    monkeypatch.setattr(bulk, "AUDIT_BLOCK", block)
+    calls = _recorded_solves(monkeypatch)
+    mats, w0 = _unflagged_population(n)
+    violated, ok = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
+    assert not violated.any() and ok.all()
+
+    per_solve = [np.ndim(i) == 1 for _, i, _ in calls]
+    entries = n * (n - 1) // 2
+    if order == "row-major":
+        assert per_solve == [False] * entries
+    elif order == "all pairs":
+        assert per_solve == [True]
+    else:
+        assert all(per_solve) and np.array_equal(calls[0][0], np.arange(len(FACTORS) * 512))
+    solved = np.concatenate([(cols * n + i) * n + j for cols, i, j in calls])
+    iu, ju = np.triu_indices(n, 1)
+    every = (np.arange(len(FACTORS) * 512)[:, None] * n + iu) * n + ju
+    np.testing.assert_array_equal(np.sort(solved), every.ravel())
+
+
+def test_row_major_order_stops_once_every_column_has_flagged(monkeypatch):
+    # 1,100 copies of the counterexample, 6,600 (column, entry) pairs, take
+    # the row-major order; each flags at entry (1, 3), so no later entry is
+    # solved
+    mat = read_matrix_file(REPO / "benchmarks" / "matrices" / "n4_counterexample.txt").entries
+    mats = np.repeat(mat[None], 1100, axis=0)
+    _, w0, _, _ = bulk.perron_batch(mats)
+    calls = _recorded_solves(monkeypatch)
+    violated, ok = bulk.violation_flags(mats, w0, (1.01,), 1e-9)
+    assert violated.all() and ok.all()
+    assert [(cols.size, i, j) for cols, i, j in calls] == [(1100, 0, 1), (1100, 0, 2)]
 
 
 def test_one_inverse_per_block_whatever_the_factors(monkeypatch):

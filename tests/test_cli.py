@@ -121,6 +121,14 @@ def test_audit_kinked_factor_scan(kinked_file, capsys):
     assert "factor 1.1: no violations" in out
 
 
+def test_audit_prints_a_weak_violation(tmp_path, capsys):
+    # raising a_45 by 1% lowers w_4 itself (test_monotonic's weak violation)
+    path = tmp_path / "weak.txt"
+    path.write_text(generate(GeneratorConfig(8, "discrete", 11), 1059).to_text())
+    assert main(["audit", str(path), "--factor", "1.01"]) == 0
+    assert "factor 1.01: WEAK VIOLATION: entry (4,5)" in capsys.readouterr().out.splitlines()
+
+
 def test_audit_rgm_reports_no_violations(kinked_file, capsys):
     assert main(["audit", kinked_file, "--method", "rgm"]) == 0
     assert "no violations" in capsys.readouterr().out
@@ -277,6 +285,20 @@ def test_enumerate_progress_shows_rate_and_eta(capsys):
     assert reports[-1].endswith(", ETA 0:00:00")
 
 
+def test_resume_from_a_checkpoint_whose_samples_disagree_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "sweep.ckpt"
+    argv = ["enumerate", "--preset", "fig3", "--stride", "2000000", "--checkpoint", str(ckpt)]
+    assert main(argv) == 0
+    doc = json.loads(ckpt.read_text())
+    doc["histograms"]["1.01"]["samples"] += 1
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(argv + ["--resume"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "samples" in captured.err
+    assert captured.out == ""
+
+
 def test_enumerate_rejects_unknown_preset():
     with pytest.raises(SystemExit) as info:
         main(["enumerate", "--preset", "fig9"])
@@ -355,6 +377,8 @@ FILES = {
     ["analyze", "SIZE_NOT_INT"],
     ["analyze", "SIZE_ONE"],
     ["audit", "SHORT_ROW"],
+    ["ri", "--n", "2", "--scale", "discrete", "--seed", "1", "--samples", "100"],
+    ["ri", "--n", "4", "--scale", "discrete", "--seed", "1", "--samples", "0"],
 ])
 def test_bad_parameters_exit_2(argv, tmp_path, capsys):
     for name, text in FILES.items():

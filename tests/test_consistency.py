@@ -105,6 +105,10 @@ def test_table_validation_and_json_round_trip():
         RandomIndexTable("discrete", {4: 0.9, 5: 0.8})
     with pytest.raises(ConfigurationError):
         RandomIndexTable("discrete", {4: -1.0})
+    with pytest.raises(ConfigurationError, match="empty"):
+        RandomIndexTable("discrete", {})
+    with pytest.raises(ConfigurationError, match="unknown scale 'bogus'"):
+        default_random_index_table("bogus")
     table = RandomIndexTable("continuous", {4: 0.946, 5: 1.188}, sample_size=4_000_000)
     doc = table.to_json()
     assert '"4": 0.946' in doc

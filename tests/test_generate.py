@@ -24,6 +24,14 @@ def test_config_validation():
         GeneratorConfig(n=4, scale="discrete", seed=-1)
 
 
+def test_upper_batch_bounds():
+    config = GeneratorConfig(n=4, scale="discrete", seed=0)
+    for start, count in ((-1, 2), (0, -1)):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            upper_batch(config, start, count)
+    assert upper_batch(config, 5, 0).shape == (0, 6)
+
+
 def test_discrete_entries_come_from_the_scale():
     config = GeneratorConfig(n=5, scale="discrete", seed=42)
     upper = upper_batch(config, 0, 2000)

@@ -59,6 +59,8 @@ def test_build_rejects_nonpositive_entry():
 def test_build_rejects_wrong_arity():
     with pytest.raises(ValidationError, match="6 entries"):
         build_matrix(4, [1.0, 2.0, 3.0])
+    with pytest.raises(ValidationError, match="at least 2 alternatives"):
+        build_matrix(1, [])
 
 
 def test_from_array_rejects_broken_reciprocity():
@@ -73,6 +75,8 @@ def test_from_array_rejects_broken_reciprocity():
     ([[1.0, 2.0], [-0.5, 1.0]], r"entry \(2,1\) must be positive"),
     ([[1.0, 2.0], [0.5, 2.0]], r"diagonal entry \(2,2\) must be 1"),
     ([[1.0, 2.0], [0.6, 1.0]], r"entry \(2,1\) is not the reciprocal of \(1,2\)"),
+    ([[1.0, 2.0]], r"expected a square matrix, got shape \(1, 2\)"),
+    ([[1.0]], "need at least 2 alternatives"),
 ])
 def test_constructor_and_from_array_reject_alike(check, entries, match):
     with pytest.raises(ValidationError, match=match):
@@ -94,6 +98,13 @@ def test_matrix_is_immutable(kinked_matrix):
 def test_consistency_of_ratio_matrix(rng):
     w = rng.uniform(0.1, 5.0, size=5)
     assert is_consistent(consistent_from_weights(w))
+
+
+def test_consistency_inputs_are_checked(kinked_matrix):
+    with pytest.raises(ValidationError, match="tolerance must be nonnegative"):
+        is_consistent(kinked_matrix, -1)
+    with pytest.raises(ValidationError, match="at least two strictly positive weights"):
+        consistent_from_weights([1.0])
 
 
 def test_kinked_matrix_is_inconsistent(kinked_matrix):

@@ -145,7 +145,7 @@ def test_merge_conserves_everything():
     a.record_array(np.array([0.05, 0.33]), np.array([True, True]),
                    np.array([False, True]))
     b.record_array(np.array([0.34]), np.array([True]), np.array([True]))
-    b.record_failures(2)
+    b.failures += 2
     a.offer_min_example(MinCrExample((1.0,), 0.33, 1, 2, 3))
     b.offer_min_example(MinCrExample((2.0,), 0.31, 1, 3, 2))
     a.merge(b)

@@ -195,5 +195,7 @@ def test_weight_vector_validation():
         WeightVector(np.array([0.5, 0.6]))
     with pytest.raises(ValidationError):
         WeightVector(np.array([1.2, -0.2]))
+    with pytest.raises(ValidationError, match="at least 2 weights"):
+        WeightVector(np.array([1.0]))
     wv = WeightVector(np.array([0.25, 0.75]))
     assert wv.ratio(2, 1) == 3.0
