@@ -66,15 +66,73 @@ Perron root is simple, and one batched inverse per matrix serves all
 n(n-1)/2 perturbations at every factor. Each step re-estimates lam as the
 mean ratio (A'w)_p / w_p and keeps 1^T w fixed, so only the w-block of the
 inverse is kept. A perturbation changes only a_ij and a_ji, so A'w is A w
-plus two scalar corrections and no perturbed matrix is built. An iterate is
-accepted under the residual bound of a base solve, and only while it is
-positive, as no other eigenvector of a positive matrix is. The steps
-contract by a factor of the order of the perturbation, so their number grows
-with the factor. Over the audit scans of 32,768 sweep matrices (n = 4) and of
-16,384 matrices per scale at n = 6 and 9, rows were accepted after 2-3 steps
-at factor 1.001, 3-5 at 1.01 and 4-9 at 1.1, with n = 4 needing the most.
-Rows not accepted within ``CHORD_STEPS`` steps fall back to squaring on an
-explicit perturbed copy.
+plus two scalar corrections and no perturbed matrix is built.
+
+Certificates. A solve is not stepped until it converges. It takes a fixed
+``CERTIFY_STEPS[0]`` steps from w0, with no test, and its iterate w is
+judged by how far it can lie from the exact Perron vector w* of A', the
+matrix that :func:`_perturbed` builds. Let d_H(x, y) = max_p ln(x_p/y_p) -
+min_p ln(x_p/y_p), Hilbert's projective metric. A positive A' shrinks it by
+tau = tanh(Delta/4), Delta the largest d_H between two images under A' (G.
+Birkhoff, Trans. AMS 85, 1957; P. J. Bushell, Arch. Rational Mech. Anal. 52,
+1973; E. Seneta, *Non-negative Matrices and Markov Chains*, ch. 3), so
+d_H(w, w*) <= d_H(w, A'w) + tau d_H(w, w*), that is
+
+    d_H(w, w*) <= kappa d_H(w, A'w),  kappa = 1 / (1 - tau) = (1 + e^(Delta/2)) / 2.
+
+Delta is the largest ln(a_pr a_qs / (a_qr a_ps)), so it is at most 2 ln s
+for s the spread of A, its largest entry over its least. A cross-ratio
+other than 1 holds each entry at most once, and never a_ij above with a_ji
+below, so the raise multiplies it by at most a'_ij / a_ij or a_ji / a'_ji,
+each at most f / (1 - u) <= f**2: Delta' <= 2 ln(f s), and kappa' <= (1 +
+f s) / 2 needs no exponential. (The exact Delta, n**3 per matrix, took
+47 ms for 4096 matrices at n = 9, where their whole audit at 1.01 took 20
+ms; 2 vCPUs, numpy 2.4.6.) The base w0 gets the same bound r0 against A,
+once per matrix. ln(w_i/w_k) - ln(w*_i/w*_k) = ln(w_i/w*_i) -
+ln(w_k/w*_k) is at most d_H(w, w*) in size, so each move q_k = (w_i/w_k) /
+(w0_i/w0_k) lies within a factor e^(+-r) of the exact one, r = r0 + r1 with
+r1 the bound on w. As e^r <= 1 / (1 - r) for r < 1, :func:`_verdicts` flags
+a solve when some q_k < (1 - margin)(1 - r), clears it when q_k (1 - r) >
+1 - margin at every k != i, and otherwise leaves it undecided; it decides
+only a positive iterate. The undecided take ``CERTIFY_STEPS[1]`` more steps
+and are judged again. Those still undecided re-run
+:meth:`_ChordSolver.solve` from w0: it steps until an iterate passes the
+residual bound of a base solve and is positive, as no other eigenvector of
+a positive matrix is, and falls back to squaring on an explicit perturbed
+copy after ``CHORD_STEPS`` steps. So a certified flag is the decision of
+exact arithmetic on the float matrices, an undecided solve is flagged or
+failed as it was before certificates, and a certified one is never a
+failure. The residual test bounds a float solve's error in these terms
+only to about 1e-8, so a float flag could differ from the exact one where a
+move lies that close to the margin; none did on the tests' populations or
+in the full 4x4 sweep. The steps contract by a factor of the order of the
+perturbation, so the undecided share grows with the factor. Over 40 stride-299 sweep chunks (105,210 solves per factor), none
+was undecided after 2 steps at 1.001, 0.02% at 1.01 and 2.5% at 1.1, and 5
+solves at 1.1 after 4. Over 16,384 fig2 matrices at n = 6 and 9 and the
+under-cap ones of as many fig4 matrices at n = 5 and 6, at most 0.03% were
+undecided after 2 steps at 1.01 and 0.3-3.3% at 1.1, and one solve in all
+after 4.
+
+Slack. r is computed in floats, so it is widened as the bounds of
+:func:`perron_bounds` are (u = 2**-53, eps = 2u). d_H(w, A'w) <= D - 1 for D
+the largest over the least ratio (A'w)_p / w_p. Each (A'w)_p sums n + 1
+products, the n of A w and one correction. At row j the correction d_ji w_i
+is negative, of size at most (f / (1 - u) - 1) (A'w)_j, so the sum is
+rounded by at most (n + 1) u (2f - 1) of (A'w)_j (Higham, section 3.1). The
+rounding of d_ji = a'_ji - a_ji adds u (f - 1); it is 0 for f <= 2, where a'
+lies within a factor 2 of a and the difference is exact by Sterbenz's lemma
+(Higham, section 2.5), and likewise for d_ij. So eps_A = 2 (n + 2) f eps
+bounds the relative error of every computed (A'w)_p. With the division to
+each ratio and the one to the computed D^, D <= D^ (1 + eta) with eta <
+2.5 eps_A; while D^ < 2, D^ - 1 is exact and D - 1 <= D^ - 1 + 5 eps_A, the
+slack of :func:`_slack`. At D^ >= 2, r > 1 and nothing is decided. kappa
+takes three roundings from f s and is widened by 4 eps (:func:`_kappa`).
+The eight sums and products that give r, and 1 - r, each round by at most
+u of a value below 1 while r < 1; the move's three divisions and the two
+products of the tests each add at most u relative. That is 14 u in all,
+besides the far smaller roundings of the slack itself, and the 8 eps =
+16 u added to r covers it. The model assumes that no product underflows;
+on the judgment scales none comes near.
 
 Inverse. :func:`_bordered_inverse` builds M by Gauss-Jordan elimination on
 J = [[A - lam0 I, -w0], [1^T, 0]], vectorized over columns in the
@@ -93,9 +151,10 @@ a > 0 the first n-1 entries of its column n-1, so that pivot is at least
 case at n = 2..9, on both scales and for consistent matrices, the first
 n-1 pivots were at most -0.94, the border pivots at least 1.10 and the last
 ones 0.10-14.1 in magnitude, and M agreed with LAPACK's to 1e-14 of its
-largest entry. Its accuracy decides no flag: an iterate is accepted only
-under the residual test, so M sets the number of steps and the predicted
-entry (below), not the result. numpy's batched inverse makes one LAPACK
+largest entry. Its accuracy decides no flag: the radius bounds whatever
+iterate it gives, and solve accepts one only under the residual test, so M
+sets how many solves are decided and the predicted entry (below), not the
+result. numpy's batched inverse makes one LAPACK
 call per matrix; against it, with the (B, n+1, n+1) Jacobian it needs and
 the transposed copy of its result, 4096 matrices took 6 ms against 12-20 ms
 at n = 9, 2.0 against 6.6 at n = 6 and 1.0 against 3.9 at n = 4 (2 vCPUs,
@@ -109,21 +168,24 @@ each column's own factor. The per-column arithmetic is that of a scan at one
 factor, so the flags do not depend on which factors share a call. A column
 flagged at one factor leaves the scan while the same matrix is still scanned
 at the others. The batches are small (a stride-300 sweep chunk holds about
-440 matrices), so the time goes into numpy calls rather than arithmetic;
-hence a column accepted by a chord step is not cut out of the working set at
-once. Its first accepted iterate is recorded and it keeps stepping, unread,
-until at least half of the working set is accepted; only then is the set
-compacted. That trades a little arithmetic for far fewer compactions. On a
-2-vCPU machine (numpy 2.4.6, one BLAS thread), a 440-matrix sweep block at
-three factors took 4.1 ms against 4.7 ms when compacting on every
-acceptance; on 4096-matrix blocks at one factor (n = 6 continuous, n = 9
-discrete) the lazy rule cost 1-3%.
+440 matrices), so the time goes into numpy calls rather than arithmetic.
+A certificate's steps take no test, and its rounds compact the undecided
+once each. In :meth:`_ChordSolver.solve`, a column accepted by a chord step
+is not cut out of the working set at once. Its first accepted iterate is
+recorded and it keeps stepping, unread, until at least half of the working
+set is accepted; only then is the set compacted. That trades a little
+arithmetic for far fewer compactions: when every solve stepped to the
+residual test (2 vCPUs, numpy 2.4.6, one BLAS thread), a 440-matrix sweep
+block at three factors took 4.1 ms against 4.7 ms when compacting on every
+acceptance, and on 4096-matrix blocks at one factor (n = 6 continuous,
+n = 9 discrete) the lazy rule cost 1-3%.
 
 Scan orders. :func:`_scan_order` only yields a block's solves, each a
 chord call on some columns at one shared entry or at one entry per column;
 every flag and every failure comes from the one step in
-:func:`_audit_block`, which solves each call, marks the columns whose solve
-failed and flags those whose converged solve drops some ratio. The order
+:func:`_audit_block`, which certifies each call's solves, re-solves the
+undecided, marks the columns whose re-solve failed and flags those that a
+certificate or a converged re-solve drops some ratio of. The order
 decides which solves run, never how one is judged, so ``violated`` and
 ``ok`` do not depend on it (:func:`violation_flags` states the rule).
 Each block takes one of three orders. The row-major order yields one upper
@@ -198,6 +260,9 @@ sweep chunks of about 440 matrices at three factors):
 
 The forced and gated columns are time ratios to the row-major order. "row"
 means the gate (at n = 4, ``PREDICT_MIN_N``) kept the row-major order.
+These timings, and the crossovers below, were taken when every solve stepped
+to the residual test; the certificates make each solve cheaper but leave the
+orders' calls as they were, and the ratios were not taken again.
 Where it does at n >= 5, the prediction is the gate's whole cost: on the
 under-cap rows of five fig4 chunks at n = 5 and 6 (600-1,900 rows a chunk,
 factor 1.01, 12 alternating rounds), the gated audit took a median
@@ -242,12 +307,18 @@ from .errors import ValidationError
 # A**(2**13): 8192 applications of each matrix; see module docstring.
 BASE_SQUARINGS = 13
 MAX_SQUARINGS = 24
+# The float spacing at 1, 2**-52: the unit of the certificates' slack.
+EPS = np.finfo(float).eps
 # Squarings behind the Collatz-Wielandt bounds of perron_bounds.
 SCREEN_SQUARINGS = 4
 # Relative residual accepted as converged: max|Aw - lam*w| <= tol * lam.
 RESIDUAL_RTOL = 1e-12
 # Chord steps per perturbed solve before falling back to squaring.
 CHORD_STEPS = 12
+# Fixed chord steps before each certificate of a perturbed solve: the
+# solves that the first leaves undecided take the second's more, and those
+# still undecided go to _ChordSolver.solve; see the module docstring.
+CERTIFY_STEPS = (2, 2)
 # Matrices per audit block, each bringing one column per factor, and
 # (column, entry) pairs per chord call of the pair orders; bounds their
 # working sets.
@@ -409,11 +480,13 @@ def violation_flags(
     Perron vector is recomputed, and the matrix is flagged at f when some
     ratio w_i/w_k drops by more than ``margin`` relative to its unperturbed
     value. ``w0`` holds the Perron vectors of ``mats``. A matrix is flagged
-    at f when any converged perturbed solve flags it; it is a failure at f
-    only when none does and some solve did not converge. That rule does not
-    depend on the order in which entries are solved. The solves run on the
-    chord scan, in blocks of ``AUDIT_BLOCK`` matrices, in one of the orders
-    of the module docstring. Returns ``(violated, ok)``, booleans of
+    at f when the certificate of some perturbed solve, or the converged
+    re-solve of one that its certificate left undecided, flags it; it is a
+    failure at f only when none does and some re-solve did not converge. A
+    certified solve is never a failure. That rule does not depend on the
+    order in which entries are solved. The solves run on the chord scan,
+    in blocks of ``AUDIT_BLOCK`` matrices, in one of the orders of the
+    module docstring. Returns ``(violated, ok)``, booleans of
     shape (F, B) indexed by factor first, ``ok`` False for failures. A
     flagged matrix's witness is read by :func:`first_violations`.
     """
@@ -457,25 +530,26 @@ def _audit_block(mats, w0, factors, thresh):
     """The chord scan of one block: the flat (F*B,) ``violated`` and ``ok``
     of :func:`violation_flags`, column c being matrix c % B at factor
     ``factors[c // B]``. :func:`_scan_order` only yields the solves; each
-    one is solved here and its failures and flags marked, so this loop is
-    the one place where a chord solve becomes a flag or a failure.
+    one is certified here, the undecided re-solved and their failures and
+    flags marked, so this loop is the one place where a chord solve becomes
+    a flag or a failure. Overflow, in the solves of a huge factor say,
+    leaves non-finite weights, which decide nothing and fail the residual
+    test, so it is not reported.
     """
-    chord = _ChordSolver(mats, w0, factors)
-    w0 = np.tile(w0, (factors.size, 1))
-    violated, failed = np.zeros((2, len(w0)), dtype=bool)
-    w_first = None
-    for cols, i, j in _scan_order(chord, thresh, violated):
-        w1, ok = chord.solve(cols, i, j)
-        # w_first stays alive through the block: freed before the pairs of
-        # the predicted order allocate, it raised the peak RSS of 20 fig2
-        # n = 9 chunks by 6-7 MB (glibc's mmap threshold), with the same
-        # tracemalloc peak
-        w_first = w1 if w_first is None else w_first
-        failed[cols[~ok]] = True
-        if isinstance(i, np.ndarray):
-            i = i[ok]
-        cols = cols[ok]
-        violated[cols[np.any(_drops(w0[cols], w1[ok], i, thresh), axis=1)]] = True
+    with np.errstate(all="ignore"):
+        chord = _ChordSolver(mats, w0, factors)
+        violated, failed = np.zeros((2, factors.size * len(w0)), dtype=bool)
+        for cols, i, j in _scan_order(chord, thresh, violated):
+            flagged, clear = chord.certify(cols, i, j, thresh)
+            left = np.flatnonzero(~(flagged | clear))
+            if left.size:
+                redo = cols[left]
+                if isinstance(i, np.ndarray):
+                    i, j = i[left], j[left]
+                w1, ok = chord.solve(redo, i, j)
+                failed[redo[~ok]] = True
+                flagged[left] = ok & np.any(_drops(w0[redo % len(w0)], w1, i, thresh), axis=1)
+            violated[cols[flagged]] = True
     return violated, violated | ~failed
 
 
@@ -614,8 +688,9 @@ def _flat_rows(i: np.ndarray, j: np.ndarray, size: int):
     return i * size + at, j * size + at
 
 
-def _perturbed_residual(aw, w, ri, rj, d_ij, d_ji) -> tuple[np.ndarray, np.ndarray]:
-    """``(A'w - lam w, lam)`` from ``aw`` = A w, which becomes A'w in place.
+def _perturbed_residual(aw, w, ri, rj, d_ij, d_ji) -> tuple[np.ndarray, ...]:
+    """``(A'w - lam w, lam, ratio)`` from ``aw`` = A w, which becomes A'w in
+    place, with ``ratio`` the (A'w)_p / w_p.
 
     A' adds ``d_ij`` to a_ij and ``d_ji`` to a_ji. ``ri`` and ``rj`` are
     rows i and j, shared by every column, or, for one entry per column,
@@ -630,8 +705,9 @@ def _perturbed_residual(aw, w, ri, rj, d_ij, d_ji) -> tuple[np.ndarray, np.ndarr
     else:
         aw[ri] += d_ij * w[rj]
         aw[rj] += d_ji * w[ri]
-    lam = np.add.reduce(aw / w, axis=0) / len(w)
-    return aw - lam * w, lam
+    ratio = aw / w
+    lam = np.add.reduce(ratio, axis=0) / len(w)
+    return aw - lam * w, lam, ratio
 
 
 def _bordered_inverse(mats_t: np.ndarray, w0_t: np.ndarray, lam0: np.ndarray) -> np.ndarray:
@@ -676,13 +752,15 @@ class _ChordSolver:
     c is matrix c % B at factor ``factors[c // B]``. A w0 and the w-block of
     the inverse of the bordered Jacobian [[A - lam0 I, -w0], [1^T, 0]] are
     computed once per matrix, the inverse by :func:`_bordered_inverse`, and,
-    with A, tiled to the columns in (n, n, F*B) layout. The scan order
-    narrows the held columns with its active set (:meth:`hold`), so every
-    step works on contiguous arrays.
+    with A, tiled to the columns in (n, n, F*B) layout; so is each matrix's
+    base radius r0, which ``bound`` holds per column with the perturbed
+    radius's kappa (module docstring). The scan order narrows the held
+    columns with its active set (:meth:`hold`), so every step works on
+    contiguous arrays.
     """
 
     def __init__(self, mats: np.ndarray, w0: np.ndarray, factors: np.ndarray) -> None:
-        b = len(mats)
+        b, n, _ = mats.shape
         self.mats = mats
         self.cols = np.arange(factors.size * b)
         self.fac = np.repeat(factors, b)
@@ -691,15 +769,22 @@ class _ChordSolver:
         aw0 = _matvec(mats_t, w0_t)
         lam0 = np.add.reduce(aw0 / w0_t, axis=0) / len(w0_t)  # np.mean's bits
         inv_t = _bordered_inverse(mats_t, w0_t, lam0)
+        entries = mats_t.reshape(n * n, b)
+        spread = np.maximum.reduce(entries, axis=0) / np.minimum.reduce(entries, axis=0)
+        kappa = _kappa(spread)
+        r0 = _radius(aw0 / w0_t, kappa, kappa * _slack(n, 1.0))
+        r0[~(np.minimum.reduce(w0_t, axis=0) > 0)] = np.inf
         # a copy per array costs a one-factor audit at n = 9 about 1.5%
-        self.mats_t, self.w0, self.aw0, self.inv_t = (
+        self.mats_t, self.w0, self.aw0, self.inv_t, spread, r0 = (
             x if factors.size == 1 else np.tile(x, factors.size)
-            for x in (mats_t, w0_t, aw0, inv_t))
+            for x in (mats_t, w0_t, aw0, inv_t, spread, r0))
+        kappa = _kappa(self.fac * spread)
+        self.bound = np.stack([kappa, r0 + kappa * _slack(n, self.fac) + 8 * EPS])
 
     def _take(self, cols: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The held fac, mats_t, w0, aw0 and inv_t at ``cols``, a sorted run
-        of held columns in which a column may repeat."""
-        held = self.fac, self.mats_t, self.w0, self.aw0, self.inv_t
+        """The held fac, mats_t, w0, aw0, inv_t and bound at ``cols``, a
+        sorted run of held columns in which a column may repeat."""
+        held = self.fac, self.mats_t, self.w0, self.aw0, self.inv_t, self.bound
         if np.array_equal(cols, self.cols):
             return held
         pos = np.searchsorted(self.cols, cols)
@@ -707,8 +792,56 @@ class _ChordSolver:
 
     def hold(self, cols: np.ndarray) -> None:
         """Drop held columns not in ``cols``, a sorted subset of them."""
-        self.fac, self.mats_t, self.w0, self.aw0, self.inv_t = self._take(cols)
+        self.fac, self.mats_t, self.w0, self.aw0, self.inv_t, self.bound = self._take(cols)
         self.cols = cols
+
+    def _start(self, cols: np.ndarray, i, j) -> tuple:
+        """The held fac, mats_t, w0, inv_t and bound at ``cols``, the raise's
+        corrections d_ij and d_ji to a_ij and a_ji, the rows they change as
+        :func:`_perturbed_residual` takes them, and the residual at w0."""
+        fac, a, w0, aw, inv, bound = self._take(cols)
+        per_solve = np.ndim(i) > 0
+        at = np.arange(cols.size) if per_solve else slice(None)
+        d_ij = a[i, j, at] * fac - a[i, j, at]
+        d_ji = a[j, i, at] / fac - a[j, i, at]
+        rows = _flat_rows(i, j, cols.size) if per_solve else (i, j)
+        resid, _, _ = _perturbed_residual(aw.copy(), w0, *rows, d_ij, d_ji)
+        return fac, a, w0, inv, bound, d_ij, d_ji, rows, resid
+
+    def certify(self, cols: np.ndarray, i, j, thresh: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per solve, as :meth:`solve` takes them, whether the raise
+        certainly drops some w_i/w_k below ``thresh`` times its base value
+        (``flagged``) or certainly drops none (``clear``); a solve may be
+        neither.
+
+        ``CERTIFY_STEPS[0]`` chord steps run from w0 with no test, and
+        :func:`_verdicts` decides each solve from the Birkhoff radius of its
+        iterate (module docstring); the undecided take ``CERTIFY_STEPS[1]``
+        more steps and are decided again.
+        """
+        per_solve = np.ndim(i) > 0
+        _, a, w0, inv, bound, d_ij, d_ji, rows, resid = self._start(cols, i, j)
+        w = w0
+        flagged, clear = np.zeros((2, cols.size), dtype=bool)
+        left = np.arange(cols.size)  # the undecided solves' positions
+        for steps in CERTIFY_STEPS:
+            for _ in range(steps):
+                w = w - _matvec(inv, resid)
+                resid, _, ratio = _perturbed_residual(_matvec(a, w), w, *rows, d_ij, d_ji)
+            got = _verdicts(w, w0, _radius(ratio, *bound), i, thresh)
+            for out, x in zip((flagged, clear), got):
+                out[left[x]] = True
+            undecided = ~(got[0] | got[1])
+            if not undecided.any():
+                break
+            left = left[undecided]
+            a, inv, w0, w, resid, d_ij, d_ji, bound = (
+                np.compress(undecided, x, axis=-1)
+                for x in (a, inv, w0, w, resid, d_ij, d_ji, bound))
+            if per_solve:
+                i, j = i[undecided], j[undecided]
+                rows = _flat_rows(i, j, left.size)
+        return flagged, clear
 
     def solve(self, cols: np.ndarray, i, j) -> tuple[np.ndarray, np.ndarray]:
         """Perron vectors (C, n) of the given columns' matrices with a_ij
@@ -728,13 +861,8 @@ class _ChordSolver:
         :func:`perron_batch` on an explicit perturbed copy.
         """
         per_solve = np.ndim(i) > 0
-        fac, a, w, aw, inv = self._take(cols)
-        at = np.arange(cols.size) if per_solve else slice(None)
         entry = i, j
-        d_ij = a[i, j, at] * fac - a[i, j, at]
-        d_ji = a[j, i, at] / fac - a[j, i, at]
-        rows = _flat_rows(i, j, cols.size) if per_solve else entry
-        resid, _ = _perturbed_residual(aw.copy(), w, *rows, d_ij, d_ji)
+        fac, a, w, inv, _, d_ij, d_ji, rows, resid = self._start(cols, i, j)
         out = np.empty((cols.size, len(w)))
         ok = np.zeros(cols.size, dtype=bool)
         # the working set's positions in `out`, and which of them still wait
@@ -742,7 +870,7 @@ class _ChordSolver:
         pending = np.ones(cols.size, dtype=bool)
         for _ in range(CHORD_STEPS):
             w = w - _matvec(inv, resid)
-            resid, lam = _perturbed_residual(_matvec(a, w), w, *rows, d_ij, d_ji)
+            resid, lam, _ = _perturbed_residual(_matvec(a, w), w, *rows, d_ij, d_ji)
             done = ((np.maximum.reduce(np.abs(resid), axis=0) <= RESIDUAL_RTOL * lam)
                     & (np.minimum.reduce(w, axis=0) > 0) & pending)
             if not done.any():
@@ -767,3 +895,42 @@ class _ChordSolver:
             pert = _perturbed(self.mats, cols[left] % len(self.mats), i, j, fac[left])
             _, out[left], _, ok[left] = perron_batch(pert)
         return out, ok
+
+
+def _kappa(spread: np.ndarray) -> np.ndarray:
+    """1 / (1 - tanh(Delta/4)) = (1 + e^(Delta/2)) / 2 for e^(Delta/2) at
+    most ``spread``, widened by 4 eps for its own rounding."""
+    return (1.0 + spread) * (0.5 + 2 * EPS)
+
+
+def _slack(n: int, fac) -> np.ndarray:
+    """What the rounding of A'w, of its ratios (A'w)_p / w_p and of their
+    spread can hide of d_H(w, A'w) at a factor ``fac``: 5 times the
+    relative error 2 (n + 2) f eps of each (A'w)_p (module docstring)."""
+    return 10.0 * (n + 2) * fac * EPS
+
+
+def _radius(ratio: np.ndarray, kappa: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """``kappa * (D - 1) + extra`` per column of an (n, C) stack of ratios
+    (A w)_p / w_p, D the largest over the least: with ``extra`` at least
+    kappa times :func:`_slack`, a bound on d_H(w, w*) (module docstring)."""
+    d = np.maximum.reduce(ratio, axis=0) / np.minimum.reduce(ratio, axis=0)
+    return kappa * (d - 1.0) + extra
+
+
+def _verdicts(w, w0, r, i, thresh: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(flagged, clear)`` per column of (n, C) iterates ``w`` of raises of
+    an entry of row ``i``, shared or one per column, against the base
+    weights ``w0``, for radii ``r`` that bound the sum of both iterates'
+    d_H distances from their exact Perron vectors, and the float slack of
+    this test (module docstring). Each move q_k = (w_i/w_k) / (w0_i/w0_k)
+    is then within a factor 1 - r of the exact one, for r < 1; q_i, 1,
+    never drops. Only a positive iterate is decided."""
+    g = 1.0 - r
+    q = w0 / w
+    at = np.arange(q.shape[1]) if isinstance(i, np.ndarray) else slice(None)
+    q /= q[i, at]
+    q[i, at] = np.inf
+    lowest = np.minimum.reduce(q, axis=0)
+    positive = np.minimum.reduce(w, axis=0) > 0
+    return (lowest < thresh * g) & positive, (lowest * g > thresh) & positive

@@ -147,6 +147,8 @@ FULL_BIN0_TOTAL = 761_201
 FULL_SHARE_BIN0 = FULL_BIN0_TOTAL / FULL_TOTAL
 FULL_VIOLATING_SHARE_101 = 0.3151  # overall, factor 1.01
 FULL_BIN_048 = {1.001: 240, 1.01: 192, 1.1: 0}
+# violating matrices over the full set, per factor
+FULL_VIOLATING = {1.001: 7_624_409, 1.01: 7_617_243, 1.1: 7_539_287}
 MIN_VIOLATING_CR = 0.4869
 
 
@@ -201,6 +203,9 @@ def test_criterion_8_exhaustive_full(tmp_path):
     for factor, hist in hists.items():
         below = sum(v for m, (_, v) in hist.bins.items() if m < 40)
         assert below == 0, f"violation below CR 0.4 at factor {factor}"
+        assert hist.failures == 0
+        # every one of the 24.1M audits per factor passes the certified scan
+        assert hist.total_violating == FULL_VIOLATING[factor], factor
 
     # counts in [0.48, 0.49); discrepancies must be itemized as boundary ties
     for factor, expected in FULL_BIN_048.items():

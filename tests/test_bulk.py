@@ -232,13 +232,20 @@ def test_prediction_only_orders_the_work(monkeypatch, n, scale):
         _assert_same(_one(got, f), _reference(n, scale, factor))
 
 
+def _undecided(monkeypatch):
+    """Leave every solve undecided by its certificate, so that each one
+    re-runs ``_ChordSolver.solve``: an infinite float slack makes every
+    radius infinite."""
+    monkeypatch.setattr(bulk, "_slack", lambda n, fac: np.inf)
+
+
 @pytest.mark.parametrize("n, predicted", [(4, False), (6, False), (6, True)])
 def test_a_failed_solve_does_not_hide_a_flag_at_another_entry(monkeypatch, n, predicted):
     # every solve at entry (1, 2) fails, in the row-major scan (n = 4, a
     # block too large for one pair call) and in the predicted-entry scan
     # (n = 6), there also as the predicted entry: a matrix flagged at another
     # entry is flagged, and only a matrix that no converged solve flags is a
-    # failure
+    # failure. No solve is certified, so every one reaches the solver.
     mats, w0 = _population(n, "discrete", 1024)
     _, _, drops = squaring_scan(mats, w0, 1.01, 1e-9, full=True)
     violated = drops[1:].any(axis=(0, 2))
@@ -254,6 +261,7 @@ def test_a_failed_solve_does_not_hide_a_flag_at_another_entry(monkeypatch, n, pr
         return w1, ok
 
     monkeypatch.setattr(bulk._ChordSolver, "solve", failing)
+    _undecided(monkeypatch)
     monkeypatch.setattr(bulk, "PREDICT_MIN_SHARE", 0.0)
     if predicted:
         monkeypatch.setattr(bulk, "_predict_entries",
@@ -261,16 +269,142 @@ def test_a_failed_solve_does_not_hide_a_flag_at_another_entry(monkeypatch, n, pr
     _assert_same(_one(bulk.violation_flags(mats, w0, (1.01,), 1e-9)), (violated, violated))
 
 
-def _recorded_solves(monkeypatch):
-    """A list that receives each chord call's ``(cols, i, j)``, in order."""
-    calls = []
+@pytest.mark.parametrize("scale", ["discrete", "continuous"])
+@pytest.mark.parametrize("n", [3, 4, 6, 9])
+def test_undecided_solves_give_the_squaring_flags(monkeypatch, n, scale):
+    # with no solve certified, each one re-runs _ChordSolver.solve from w0,
+    # so the flags and ok bits are those of the squaring scan
+    mats, w0 = _population(n, scale)
+    _undecided(monkeypatch)
+    solved = []
     solve = bulk._ChordSolver.solve
 
     def spy(self, cols, i, j):
-        calls.append((cols, i, j))
+        solved.append(cols.size)
         return solve(self, cols, i, j)
 
     monkeypatch.setattr(bulk._ChordSolver, "solve", spy)
+    got = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
+    assert solved
+    for f, factor in enumerate(FACTORS):
+        _assert_same(_one(got, f), _reference(n, scale, factor))
+
+
+def test_overflow_counts_as_failure_without_a_warning():
+    # a factor of 1e300 overflows the chord steps and the squaring fallback,
+    # and entries of 1e155 overflow the certificate's spread, so its kappa
+    # (tanh -> 1) is infinite; any RuntimeWarning is an error in this suite.
+    # Such solves are failures, and the other columns keep their flags.
+    mats, w0 = _population(4, "discrete", 300)
+    violated, ok = bulk.violation_flags(mats, w0, (1.01, 1e300), 1e-9)
+    _assert_same((violated[0], ok[0]), squaring_scan(mats, w0, 1.01, 1e-9)[:2])
+    assert not ok[1].any() and not violated[1].any()
+    huge = build_matrix(4, (1e155, 1.0, 5.0, 3.0, 7.0, 9.0)).entries
+    violated, ok = bulk.violation_flags(huge[None], np.full((1, 4), 0.25), FACTORS, 1e-9)
+    assert not ok.any() and not violated.any()
+
+
+def _mp_perron(mpmath, a):
+    """The Perron vector of the float matrix ``a``, its entries read
+    exactly and normalized to sum 1, at mpmath's working precision: Newton's
+    method on (A w - lam w, 1^T w - 1) from a float solve. A positive
+    eigenvector of a positive matrix is its Perron vector."""
+    n = len(a)
+    mat = mpmath.matrix(a.tolist())
+    x = mpmath.matrix(bulk.perron_batch(a[None])[1][0].tolist())
+    lam = mpmath.fsum((mat * x)[p] / x[p] for p in range(n)) / n
+    for _ in range(3):
+        jac = mpmath.matrix(n + 1, n + 1)
+        for p in range(n):
+            for q in range(n):
+                jac[p, q] = mat[p, q]
+            jac[p, p] -= lam
+            jac[p, n], jac[n, p] = -x[p], 1
+        rhs = mat * x - lam * x
+        step = mpmath.lu_solve(jac, [rhs[p] for p in range(n)] + [mpmath.fsum(x) - 1])
+        x -= mpmath.matrix([step[p] for p in range(n)])
+        lam -= step[n]
+    assert mpmath.mnorm(mat * x - lam * x, 1) < mpmath.mpf(10) ** -45
+    assert min(x) > 0
+    return [x[p] for p in range(n)]
+
+
+def _mp_hilbert(mpmath, x, y):
+    """Hilbert's projective distance between positive vectors x and y."""
+    logs = [mpmath.log(mpmath.mpf(p) / mpmath.mpf(q)) for p, q in zip(x, y)]
+    return max(logs) - min(logs)
+
+
+def test_certificates_hold_against_exact_perron_vectors(monkeypatch):
+    # 252 (matrix, factor, entry) triples: n = 3-9, both scales and nearly
+    # consistent matrices, two of each, at every factor and two entries of
+    # each matrix, the predicted one and another. At 50 digits, the exact
+    # Perron vectors of A and of the raised matrix lie within each judged
+    # iterate's radius, and every decision agrees with the exact least
+    # move, at the audit's threshold and at thresholds 1e-7 either side of
+    # that move
+    mpmath = pytest.importorskip("mpmath")
+    judged = []
+    verdicts = bulk._verdicts
+
+    def spy(w, w0, r, i, thresh):
+        judged.append((w.copy(), w0.copy(), r.copy(), i))
+        return verdicts(w, w0, r, i, thresh)
+
+    monkeypatch.setattr(bulk, "_verdicts", spy)
+    thresh = 1.0 - 1e-9
+    rng = np.random.default_rng(23)
+    decided = {True: 0, False: 0}
+    triples = 0
+    with mpmath.workdps(50):
+        for n in range(3, 10):
+            pops = [_population(n, scale, 2)[0] for scale in ("discrete", "continuous")]
+            for a in np.concatenate(pops + [_unflagged_population(n, 2)[0]]):
+                w0 = bulk.perron_batch(a[None])[1]
+                w0_exact = _mp_perron(mpmath, a)
+                # the entry predicted to lower some ratio the most, and another
+                predicted = bulk._predict_entries(
+                    bulk._ChordSolver(a[None], w0, np.array([1.01])), thresh)[0][0]
+                other = rng.choice(np.delete(np.arange(n * (n - 1) // 2), predicted))
+                entries = [predicted, other]
+                for (i, j), factor in itertools.product(
+                        np.transpose(np.triu_indices(n, 1))[entries].tolist(), FACTORS):
+                    judged.clear()
+                    chord = bulk._ChordSolver(a[None], w0, np.array([factor]))
+                    flagged, clear = chord.certify(np.array([0]), i, j, thresh)
+                    raised = bulk._perturbed(a[None], np.array([0]), i, j, factor)[0]
+                    exact = _mp_perron(mpmath, raised)
+                    low = min(mpmath.log(exact[i] / exact[k] * w0_exact[k] / w0_exact[i])
+                              for k in range(n) if k != i)
+                    triples += 1
+                    if flagged[0] or clear[0]:
+                        decided[bool(flagged[0])] += 1
+                        assert flagged[0] == (low < mpmath.log(thresh))
+                    for w, w0_col, r, at in judged:
+                        distance = (_mp_hilbert(mpmath, w[:, 0], exact)
+                                    + _mp_hilbert(mpmath, w0_col[:, 0], w0_exact))
+                        assert distance <= r[0]
+                        for t in (thresh, float(mpmath.exp(low) * (1 - 1e-7)),
+                                  float(mpmath.exp(low) * (1 + 1e-7))):
+                            got = verdicts(w, w0_col, r, at, t)
+                            if got[0][0] or got[1][0]:
+                                assert got[0][0] == (low < mpmath.log(t))
+    assert triples == 252
+    assert decided[True] > 20 and decided[False] > 20
+    assert sum(decided.values()) >= 0.95 * triples
+
+
+def _recorded_solves(monkeypatch):
+    """A list that receives each chord call's ``(cols, i, j)``, in order:
+    the scan order's calls, each certified before any re-solve."""
+    calls = []
+    certify = bulk._ChordSolver.certify
+
+    def spy(self, cols, i, j, thresh):
+        calls.append((cols, i, j))
+        return certify(self, cols, i, j, thresh)
+
+    monkeypatch.setattr(bulk._ChordSolver, "certify", spy)
     return calls
 
 
@@ -418,7 +552,8 @@ def test_bordered_inverse_matches_lapack(n, kind):
 @pytest.mark.parametrize("n", [4, 6, 9])
 def test_inverse_accuracy_sets_only_the_step_count(monkeypatch, n):
     # an inverse off by 0.1% costs chord steps but moves no flag or ok bit:
-    # every accepted iterate passes the residual test of a base solve
+    # the radius bounds whatever iterate it gives, and every accepted
+    # re-solve passes the residual test of a base solve
     mats, w0 = _population(n, "discrete")
     want = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
     inverse = bulk._bordered_inverse
@@ -470,9 +605,11 @@ def test_n9_audit_at_factor_101_needs_no_fallback(monkeypatch):
 
 @pytest.mark.parametrize("n, factor", [(4, 1.1), (9, 1.01)])
 def test_squaring_fallback_alone_gives_the_same_flags(monkeypatch, n, factor):
-    # 1024 matrices: too many (column, entry) pairs for one call at n = 4
+    # 1024 matrices: too many (column, entry) pairs for one call at n = 4;
+    # no solve is certified, and no chord step is accepted
     mats, w0 = _population(n, "discrete", 1024)
     want = squaring_scan(mats, w0, factor, 1e-9)
+    _undecided(monkeypatch)
     monkeypatch.setattr(bulk, "CHORD_STEPS", 0)
     _assert_same(_one(bulk.violation_flags(mats, w0, (factor,), 1e-9)), want)
     _assert_witness(want, mats, factor)
@@ -481,9 +618,16 @@ def test_squaring_fallback_alone_gives_the_same_flags(monkeypatch, n, factor):
 def test_unreachable_tolerance_fails_every_row(monkeypatch):
     # a chord iterate can reach a residual of exactly 0.0 in floating point,
     # so only a negative tolerance is out of reach for every row; at n = 5
-    # the block takes the predicted-entry stage, at n = 4 one pair call
+    # the block takes the predicted-entry stage, at n = 4 one pair call.
+    # The tolerance only judges the re-solves of undecided solves: with
+    # every solve certified no row fails, and with none every row does.
     populations = [_population(n, "discrete", 256) for n in (5, 4)]
+    want = [squaring_scan(mats, w0, 1.01, 1e-9) for mats, w0 in populations]
     monkeypatch.setattr(bulk, "RESIDUAL_RTOL", -1.0)
+    for (mats, w0), (violated, _, _) in zip(populations, want):
+        _assert_same(_one(bulk.violation_flags(mats, w0, (1.01,), 1e-9)),
+                     (violated, np.ones(len(mats), dtype=bool)))
+    _undecided(monkeypatch)
     for mats, w0 in populations:
         violated, ok = _one(bulk.violation_flags(mats, w0, (1.01,), 1e-9))
         assert not ok.any()

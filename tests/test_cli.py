@@ -212,6 +212,14 @@ def test_simulate_writes_stable_csv(tmp_path, capsys):
     assert sum(b["total"] for b in doc["histogram"]["bins"]) == 30000
 
 
+def test_simulate_at_an_overflowing_factor_counts_failures(capsys):
+    # every perturbed solve at factor 1e300 overflows: each matrix counts as
+    # a failure, with no RuntimeWarning, which this suite makes an error
+    assert main(["simulate", "--n", "4", "--scale", "discrete", "--seed", "1",
+                 "--iters", "300", "--preset", "fig2", "--factor", "1e300"]) == 0
+    assert "samples: 300  failures: 300  violating: 0/0" in capsys.readouterr().out
+
+
 def test_simulate_stdout_is_the_csv_body(tmp_path, capsys):
     argv = ["simulate", "--n", "5", "--scale", "discrete", "--seed", "2",
             "--iters", "3000", "--preset", "fig4"]
