@@ -95,23 +95,26 @@ r1 the bound on w. As e^r <= 1 / (1 - r) for r < 1, :func:`_verdicts` flags
 a solve when some q_k < (1 - margin)(1 - r), clears it when q_k (1 - r) >
 1 - margin at every k != i, and otherwise leaves it undecided; it decides
 only a positive iterate. The undecided take ``CERTIFY_STEPS[1]`` more steps
-and are judged again. Those still undecided re-run
-:meth:`_ChordSolver.solve` from w0: it steps until an iterate passes the
-residual bound of a base solve and is positive, as no other eigenvector of
-a positive matrix is, and falls back to squaring on an explicit perturbed
-copy after ``CHORD_STEPS`` steps. So a certified flag is the decision of
-exact arithmetic on the float matrices, an undecided solve is flagged or
-failed as it was before certificates, and a certified one is never a
-failure. The residual test bounds a float solve's error in these terms
-only to about 1e-8, so a float flag could differ from the exact one where a
-move lies that close to the margin; none did on the tests' populations or
-in the full 4x4 sweep. The steps contract by a factor of the order of the
-perturbation, so the undecided share grows with the factor. Over 40 stride-299 sweep chunks (105,210 solves per factor), none
-was undecided after 2 steps at 1.001, 0.02% at 1.01 and 2.5% at 1.1, and 5
-solves at 1.1 after 4. Over 16,384 fig2 matrices at n = 6 and 9 and the
-under-cap ones of as many fig4 matrices at n = 5 and 6, at most 0.03% were
-undecided after 2 steps at 1.01 and 0.3-3.3% at 1.1, and one solve in all
-after 4.
+and are judged again. Those still undecided are solved as :func:`_full_scan`
+solves them: :func:`perron_batch` squares an explicit copy of the raised
+matrix, built by :func:`_perturbed`, and the float drop test of
+:func:`_drops` flags its converged vector; a copy whose squaring does not
+converge is a failure. So a certified flag is the decision of exact
+arithmetic on the float matrices, an undecided solve is flagged or failed
+as the full scan flags or fails it, and a certified one is never a failure.
+The residual test bounds a float solve's error in these terms only to about
+1e-8, so a float flag could differ from the exact one where a move lies
+that close to the margin; none did on the tests' populations or in the full
+4x4 sweep. The steps contract by a factor of the order of the perturbation,
+so the undecided share grows with the factor. Over 40 stride-299 sweep
+chunks (105,210 solves per factor), none was undecided after 2 steps at
+1.001, 0.02% at 1.01 and 2.5% at 1.1, and 5 solves at 1.1 after 4. Over
+16,384 fig2 matrices at n = 6 and 9 and the under-cap ones of as many fig4
+matrices at n = 5 and 6, at most 0.03% were undecided after 2 steps at 1.01
+and 0.3-3.3% at 1.1, and one solve in all after 4. So the squaring is rare:
+in 16,384-ordinal sweep chunks at ordinals 0, 9M and 18M, at three factors,
+2-9 of the 200,000-290,000 solves of a chunk reached it, and 0-2 of a
+16,384-matrix fig2 discrete chunk at n = 5, 6 or 9 (numpy 2.4.6).
 
 Slack. r is computed in floats, so it is widened as the bounds of
 :func:`perron_bounds` are (u = 2**-53, eps = 2u). d_H(w, A'w) <= D - 1 for D
@@ -152,9 +155,9 @@ case at n = 2..9, on both scales and for consistent matrices, the first
 n-1 pivots were at most -0.94, the border pivots at least 1.10 and the last
 ones 0.10-14.1 in magnitude, and M agreed with LAPACK's to 1e-14 of its
 largest entry. Its accuracy decides no flag: the radius bounds whatever
-iterate it gives, and solve accepts one only under the residual test, so M
-sets how many solves are decided and the predicted entry (below), not the
-result. numpy's batched inverse makes one LAPACK
+iterate it gives, and a solve left undecided is squared, which takes no M,
+so M sets how many solves are certified and the predicted entry (below),
+not the result. numpy's batched inverse makes one LAPACK
 call per matrix; against it, with the (B, n+1, n+1) Jacobian it needs and
 the transposed copy of its result, 4096 matrices took 6 ms against 12-20 ms
 at n = 9, 2.0 against 6.6 at n = 6 and 1.0 against 3.9 at n = 4 (2 vCPUs,
@@ -170,22 +173,14 @@ flagged at one factor leaves the scan while the same matrix is still scanned
 at the others. The batches are small (a stride-300 sweep chunk holds about
 440 matrices), so the time goes into numpy calls rather than arithmetic.
 A certificate's steps take no test, and its rounds compact the undecided
-once each. In :meth:`_ChordSolver.solve`, a column accepted by a chord step
-is not cut out of the working set at once. Its first accepted iterate is
-recorded and it keeps stepping, unread, until at least half of the working
-set is accepted; only then is the set compacted. That trades a little
-arithmetic for far fewer compactions: when every solve stepped to the
-residual test (2 vCPUs, numpy 2.4.6, one BLAS thread), a 440-matrix sweep
-block at three factors took 4.1 ms against 4.7 ms when compacting on every
-acceptance, and on 4096-matrix blocks at one factor (n = 6 continuous,
-n = 9 discrete) the lazy rule cost 1-3%.
+once each.
 
 Scan orders. :func:`_scan_order` only yields a block's solves, each a
 chord call on some columns at one shared entry or at one entry per column;
 every flag and every failure comes from the one step in
-:func:`_audit_block`, which certifies each call's solves, re-solves the
-undecided, marks the columns whose re-solve failed and flags those that a
-certificate or a converged re-solve drops some ratio of. The order
+:func:`_audit_block`, which certifies each call's solves, squares the
+undecided on explicit copies, marks the columns whose squaring failed and
+flags those that a certificate or a converged squaring drops some ratio of. The order
 decides which solves run, never how one is judged, so ``violated`` and
 ``ok`` do not depend on it (:func:`violation_flags` states the rule).
 Each block takes one of three orders. The row-major order yields one upper
@@ -313,11 +308,10 @@ EPS = np.finfo(float).eps
 SCREEN_SQUARINGS = 4
 # Relative residual accepted as converged: max|Aw - lam*w| <= tol * lam.
 RESIDUAL_RTOL = 1e-12
-# Chord steps per perturbed solve before falling back to squaring.
-CHORD_STEPS = 12
 # Fixed chord steps before each certificate of a perturbed solve: the
 # solves that the first leaves undecided take the second's more, and those
-# still undecided go to _ChordSolver.solve; see the module docstring.
+# still undecided are squared on explicit copies, as the full scan solves
+# them; see the module docstring.
 CERTIFY_STEPS = (2, 2)
 # Matrices per audit block, each bringing one column per factor, and
 # (column, entry) pairs per chord call of the pair orders; bounds their
@@ -480,9 +474,10 @@ def violation_flags(
     Perron vector is recomputed, and the matrix is flagged at f when some
     ratio w_i/w_k drops by more than ``margin`` relative to its unperturbed
     value. ``w0`` holds the Perron vectors of ``mats``. A matrix is flagged
-    at f when the certificate of some perturbed solve, or the converged
-    re-solve of one that its certificate left undecided, flags it; it is a
-    failure at f only when none does and some re-solve did not converge. A
+    at f when the certificate of some perturbed solve flags it, or, for a
+    solve that its certificate left undecided, the full scan's drop test on
+    the converged squaring of its explicit copy does; it is a failure at f
+    only when none does and some such squaring did not converge. A
     certified solve is never a failure. That rule does not depend on the
     order in which entries are solved. The solves run on the chord scan,
     in blocks of ``AUDIT_BLOCK`` matrices, in one of the orders of the
@@ -530,15 +525,17 @@ def _audit_block(mats, w0, factors, thresh):
     """The chord scan of one block: the flat (F*B,) ``violated`` and ``ok``
     of :func:`violation_flags`, column c being matrix c % B at factor
     ``factors[c // B]``. :func:`_scan_order` only yields the solves; each
-    one is certified here, the undecided re-solved and their failures and
-    flags marked, so this loop is the one place where a chord solve becomes
-    a flag or a failure. Overflow, in the solves of a huge factor say,
-    leaves non-finite weights, which decide nothing and fail the residual
-    test, so it is not reported.
+    one is certified here, the undecided squared by :func:`perron_batch` on
+    their explicit :func:`_perturbed` copies and judged by :func:`_drops`,
+    as the full scan judges them, and their failures and flags marked, so
+    this loop is the one place where a solve becomes a flag or a failure.
+    Overflow, in the solves of a huge factor say, leaves non-finite weights,
+    which decide nothing and fail the residual test, so it is not reported.
     """
+    b = len(w0)
     with np.errstate(all="ignore"):
         chord = _ChordSolver(mats, w0, factors)
-        violated, failed = np.zeros((2, factors.size * len(w0)), dtype=bool)
+        violated, failed = np.zeros((2, factors.size * b), dtype=bool)
         for cols, i, j in _scan_order(chord, thresh, violated):
             flagged, clear = chord.certify(cols, i, j, thresh)
             left = np.flatnonzero(~(flagged | clear))
@@ -546,9 +543,9 @@ def _audit_block(mats, w0, factors, thresh):
                 redo = cols[left]
                 if isinstance(i, np.ndarray):
                     i, j = i[left], j[left]
-                w1, ok = chord.solve(redo, i, j)
+                _, w1, _, ok = perron_batch(_perturbed(mats, redo % b, i, j, factors[redo // b]))
                 failed[redo[~ok]] = True
-                flagged[left] = ok & np.any(_drops(w0[redo % len(w0)], w1, i, thresh), axis=1)
+                flagged[left] = ok & np.any(_drops(w0[redo % b], w1, i, thresh), axis=1)
             violated[cols[flagged]] = True
     return violated, violated | ~failed
 
@@ -688,8 +685,8 @@ def _flat_rows(i: np.ndarray, j: np.ndarray, size: int):
     return i * size + at, j * size + at
 
 
-def _perturbed_residual(aw, w, ri, rj, d_ij, d_ji) -> tuple[np.ndarray, ...]:
-    """``(A'w - lam w, lam, ratio)`` from ``aw`` = A w, which becomes A'w in
+def _perturbed_residual(aw, w, ri, rj, d_ij, d_ji) -> tuple[np.ndarray, np.ndarray]:
+    """``(A'w - lam w, ratio)`` from ``aw`` = A w, which becomes A'w in
     place, with ``ratio`` the (A'w)_p / w_p.
 
     A' adds ``d_ij`` to a_ij and ``d_ji`` to a_ji. ``ri`` and ``rj`` are
@@ -707,7 +704,7 @@ def _perturbed_residual(aw, w, ri, rj, d_ij, d_ji) -> tuple[np.ndarray, ...]:
         aw[rj] += d_ji * w[ri]
     ratio = aw / w
     lam = np.add.reduce(ratio, axis=0) / len(w)
-    return aw - lam * w, lam, ratio
+    return aw - lam * w, ratio
 
 
 def _bordered_inverse(mats_t: np.ndarray, w0_t: np.ndarray, lam0: np.ndarray) -> np.ndarray:
@@ -746,7 +743,8 @@ def _bordered_inverse(mats_t: np.ndarray, w0_t: np.ndarray, lam0: np.ndarray) ->
 
 
 class _ChordSolver:
-    """Perron vectors of single-entry perturbations of a block of matrices.
+    """Certified chord solves of single-entry perturbations of a block of
+    matrices.
 
     Works on (matrix, factor) columns: for B matrices and F factors, column
     c is matrix c % B at factor ``factors[c // B]``. A w0 and the w-block of
@@ -756,12 +754,13 @@ class _ChordSolver:
     base radius r0, which ``bound`` holds per column with the perturbed
     radius's kappa (module docstring). The scan order narrows the held
     columns with its active set (:meth:`hold`), so every step works on
-    contiguous arrays.
+    contiguous arrays. A solve that :meth:`certify` leaves undecided is
+    decided by squaring on its explicit copy, with the full scan's drop test
+    (:func:`_audit_block`).
     """
 
     def __init__(self, mats: np.ndarray, w0: np.ndarray, factors: np.ndarray) -> None:
         b, n, _ = mats.shape
-        self.mats = mats
         self.cols = np.arange(factors.size * b)
         self.fac = np.repeat(factors, b)
         mats_t = np.ascontiguousarray(mats.transpose(1, 2, 0))
@@ -795,39 +794,34 @@ class _ChordSolver:
         self.fac, self.mats_t, self.w0, self.aw0, self.inv_t, self.bound = self._take(cols)
         self.cols = cols
 
-    def _start(self, cols: np.ndarray, i, j) -> tuple:
-        """The held fac, mats_t, w0, inv_t and bound at ``cols``, the raise's
-        corrections d_ij and d_ji to a_ij and a_ji, the rows they change as
-        :func:`_perturbed_residual` takes them, and the residual at w0."""
-        fac, a, w0, aw, inv, bound = self._take(cols)
-        per_solve = np.ndim(i) > 0
-        at = np.arange(cols.size) if per_solve else slice(None)
-        d_ij = a[i, j, at] * fac - a[i, j, at]
-        d_ji = a[j, i, at] / fac - a[j, i, at]
-        rows = _flat_rows(i, j, cols.size) if per_solve else (i, j)
-        resid, _, _ = _perturbed_residual(aw.copy(), w0, *rows, d_ij, d_ji)
-        return fac, a, w0, inv, bound, d_ij, d_ji, rows, resid
-
     def certify(self, cols: np.ndarray, i, j, thresh: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per solve, as :meth:`solve` takes them, whether the raise
-        certainly drops some w_i/w_k below ``thresh`` times its base value
-        (``flagged``) or certainly drops none (``clear``); a solve may be
-        neither.
+        """Per solve, whether the raise certainly drops some w_i/w_k below
+        ``thresh`` times its base value (``flagged``) or certainly drops
+        none (``clear``); a solve may be neither.
 
-        ``CERTIFY_STEPS[0]`` chord steps run from w0 with no test, and
+        ``cols`` is a sorted run of held columns, and the held set stays.
+        ``i`` and ``j`` are one entry for all, or one per solve, in which
+        case a column may repeat, once per entry. ``CERTIFY_STEPS[0]`` chord
+        steps w -= M (A'w - lam w) run from w0 with no test, M the held
+        inverse block and lam the mean ratio (A'w)_p / w_p, and
         :func:`_verdicts` decides each solve from the Birkhoff radius of its
         iterate (module docstring); the undecided take ``CERTIFY_STEPS[1]``
         more steps and are decided again.
         """
         per_solve = np.ndim(i) > 0
-        _, a, w0, inv, bound, d_ij, d_ji, rows, resid = self._start(cols, i, j)
+        fac, a, w0, aw, inv, bound = self._take(cols)
+        at = np.arange(cols.size) if per_solve else slice(None)
+        d_ij = a[i, j, at] * fac - a[i, j, at]
+        d_ji = a[j, i, at] / fac - a[j, i, at]
+        rows = _flat_rows(i, j, cols.size) if per_solve else (i, j)
+        resid, _ = _perturbed_residual(aw.copy(), w0, *rows, d_ij, d_ji)
         w = w0
         flagged, clear = np.zeros((2, cols.size), dtype=bool)
         left = np.arange(cols.size)  # the undecided solves' positions
         for steps in CERTIFY_STEPS:
             for _ in range(steps):
                 w = w - _matvec(inv, resid)
-                resid, _, ratio = _perturbed_residual(_matvec(a, w), w, *rows, d_ij, d_ji)
+                resid, ratio = _perturbed_residual(_matvec(a, w), w, *rows, d_ij, d_ji)
             got = _verdicts(w, w0, _radius(ratio, *bound), i, thresh)
             for out, x in zip((flagged, clear), got):
                 out[left[x]] = True
@@ -842,59 +836,6 @@ class _ChordSolver:
                 i, j = i[undecided], j[undecided]
                 rows = _flat_rows(i, j, left.size)
         return flagged, clear
-
-    def solve(self, cols: np.ndarray, i, j) -> tuple[np.ndarray, np.ndarray]:
-        """Perron vectors (C, n) of the given columns' matrices with a_ij
-        scaled by the column's factor and a_ji by its reciprocal, and their
-        ``ok`` flags.
-
-        ``cols`` is a sorted run of held columns, and the held set stays.
-        ``i`` and ``j`` are one entry for all, or one per solve, in which
-        case a column may repeat, once per entry.
-        Each chord step is w -= M (A'w - lam w), with M the held inverse
-        block and lam the mean ratio (A'w)_p / w_p. An iterate is accepted
-        under :func:`perron_batch`'s residual test, and only while positive;
-        a solve's first accepted iterate is its result. Accepted solves
-        keep stepping, unread, until at least half of the working set is
-        accepted; only then is the working set compacted. Solves not
-        accepted within ``CHORD_STEPS`` steps fall back to
-        :func:`perron_batch` on an explicit perturbed copy.
-        """
-        per_solve = np.ndim(i) > 0
-        entry = i, j
-        fac, a, w, inv, _, d_ij, d_ji, rows, resid = self._start(cols, i, j)
-        out = np.empty((cols.size, len(w)))
-        ok = np.zeros(cols.size, dtype=bool)
-        # the working set's positions in `out`, and which of them still wait
-        left = np.arange(cols.size)
-        pending = np.ones(cols.size, dtype=bool)
-        for _ in range(CHORD_STEPS):
-            w = w - _matvec(inv, resid)
-            resid, lam, _ = _perturbed_residual(_matvec(a, w), w, *rows, d_ij, d_ji)
-            done = ((np.maximum.reduce(np.abs(resid), axis=0) <= RESIDUAL_RTOL * lam)
-                    & (np.minimum.reduce(w, axis=0) > 0) & pending)
-            if not done.any():
-                continue
-            out[left[done]] = w[:, done].T
-            ok[left[done]] = True
-            pending &= ~done
-            waiting = np.count_nonzero(pending)
-            if waiting == 0:
-                break
-            if 2 * waiting <= pending.size:
-                left = left[pending]
-                a, inv, w, resid, d_ij, d_ji = (
-                    np.compress(pending, x, axis=-1) for x in (a, inv, w, resid, d_ij, d_ji))
-                if per_solve:
-                    i, j = i[pending], j[pending]
-                    rows = _flat_rows(i, j, left.size)
-                pending = np.ones(left.size, dtype=bool)
-        left = np.flatnonzero(~ok)
-        if left.size:
-            i, j = (x[left] if per_solve else x for x in entry)
-            pert = _perturbed(self.mats, cols[left] % len(self.mats), i, j, fac[left])
-            _, out[left], _, ok[left] = perron_batch(pert)
-        return out, ok
 
 
 def _kappa(spread: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ criterion additionally has a full variant (hours of CPU) that runs only when
 variant always runs.
 """
 
+import hashlib
 import os
 
 import numpy as np
@@ -25,6 +26,7 @@ from pcmaudit import (
 from pcmaudit import bulk
 from pcmaudit.cli import main
 from pcmaudit.generate import generate_batch
+from pcmaudit.simulate import histogram_csv_lines
 from pcmaudit.sweep import TOTAL_MATRICES
 
 from conftest import (
@@ -147,6 +149,13 @@ FULL_BIN0_TOTAL = 761_201
 FULL_SHARE_BIN0 = FULL_BIN0_TOTAL / FULL_TOTAL
 FULL_VIOLATING_SHARE_101 = 0.3151  # overall, factor 1.01
 FULL_BIN_048 = {1.001: 240, 1.01: 192, 1.1: 0}
+# SHA-256 of each factor's histogram_csv_lines body, LF-terminated: the CSV
+# of `pcmaudit enumerate --preset fig5` without its run_id line
+FULL_CSV_SHA256 = {
+    1.001: "6b62c4a1e692c72209cad4cf17168209df63bb3a46d2fd53e34293a5b8a2ae42",
+    1.01: "8a611d94943c66aa76b83fc1b685d277ac698bd1b915e2c6613efffa02e35a4d",
+    1.1: "73e1c71e9092923df8cdd9c515326495777ce11bc1f0f5b749ec2f6b3d52707f",
+}
 # violating matrices over the full set, per factor
 FULL_VIOLATING = {1.001: 7_624_409, 1.01: 7_617_243, 1.1: 7_539_287}
 MIN_VIOLATING_CR = 0.4869
@@ -207,12 +216,11 @@ def test_criterion_8_exhaustive_full(tmp_path):
         # every one of the 24.1M audits per factor passes the certified scan
         assert hist.total_violating == FULL_VIOLATING[factor], factor
 
-    # counts in [0.48, 0.49); discrepancies must be itemized as boundary ties
+    # violating counts in [0.48, 0.49), and every bin's bytes
     for factor, expected in FULL_BIN_048.items():
-        got = hists[factor].bins.get(48, (0, 0))[1]
-        assert abs(got - expected) <= 5, (
-            f"factor {factor}: {got} vs {expected}, "
-            f"boundary ties {hists[factor].boundary_ties}")
+        assert hists[factor].bins.get(48, (0, 0))[1] == expected, factor
+        body = "\n".join(histogram_csv_lines(hists[factor])) + "\n"
+        assert hashlib.sha256(body.encode()).hexdigest() == FULL_CSV_SHA256[factor], factor
 
     example = h.min_cr_example
     assert example.cr == pytest.approx(MIN_VIOLATING_CR, abs=0.0005)

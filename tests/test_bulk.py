@@ -22,6 +22,7 @@ from pcmaudit.consistency import default_random_index_table
 from pcmaudit.errors import ValidationError
 from pcmaudit.generate import SAATY_VALUES, generate_batch
 from pcmaudit.matrix import matrices_from_upper, read_matrix_file
+from pcmaudit.sweep import ordinal_to_upper
 
 REPO = Path(__file__).resolve().parents[1]
 FACTORS = (1.001, 1.01, 1.1)
@@ -71,9 +72,10 @@ def _population(n, scale, count=2048):
 
 
 @functools.lru_cache(maxsize=None)
-def _reference(n, scale, factor):
-    """The squaring scan of ``_population(n, scale)``, shared by the tests."""
-    return squaring_scan(*_population(n, scale), factor, 1e-9)
+def _reference(n, scale, factor, count=2048):
+    """The squaring scan of ``_population(n, scale, count)``, shared by the
+    tests."""
+    return squaring_scan(*_population(n, scale, count), factor, 1e-9)
 
 
 def _one(flags, f=0):
@@ -233,10 +235,24 @@ def test_prediction_only_orders_the_work(monkeypatch, n, scale):
 
 
 def _undecided(monkeypatch):
-    """Leave every solve undecided by its certificate, so that each one
-    re-runs ``_ChordSolver.solve``: an infinite float slack makes every
-    radius infinite."""
+    """Leave every solve undecided by its certificate, so that each one goes
+    to the squaring fallback on its explicit copy: an infinite float slack
+    makes every radius infinite."""
     monkeypatch.setattr(bulk, "_slack", lambda n, fac: np.inf)
+
+
+def _fallback_rows(monkeypatch):
+    """A list that receives the row count of each ``perron_batch`` call, which
+    under the audit only the squaring fallback makes."""
+    rows = []
+    perron_batch = bulk.perron_batch
+
+    def spy(pert):
+        rows.append(len(pert))
+        return perron_batch(pert)
+
+    monkeypatch.setattr(bulk, "perron_batch", spy)
+    return rows
 
 
 @pytest.mark.parametrize("n, predicted", [(4, False), (6, False), (6, True)])
@@ -245,49 +261,94 @@ def test_a_failed_solve_does_not_hide_a_flag_at_another_entry(monkeypatch, n, pr
     # block too large for one pair call) and in the predicted-entry scan
     # (n = 6), there also as the predicted entry: a matrix flagged at another
     # entry is flagged, and only a matrix that no converged solve flags is a
-    # failure. No solve is certified, so every one reaches the solver.
+    # failure. No solve is certified, so every one reaches the squaring
+    # fallback, whose copies of entry (1, 2) are made to fail.
     mats, w0 = _population(n, "discrete", 1024)
     _, _, drops = squaring_scan(mats, w0, 1.01, 1e-9, full=True)
     violated = drops[1:].any(axis=(0, 2))
     assert violated.any() and not violated.all()
 
-    solve = bulk._ChordSolver.solve
+    copied = []  # per fallback copy, whether it raises entry (1, 2)
+    perturbed, perron_batch = bulk._perturbed, bulk.perron_batch
 
-    def failing(self, cols, i, j):
-        w1, ok = solve(self, cols, i, j)
-        bad = np.broadcast_to((np.asarray(i) == 0) & (np.asarray(j) == 1), ok.shape)
+    def recording(mats, rows, i, j, factor):
+        copied.append(np.broadcast_to((np.asarray(i) == 0) & (np.asarray(j) == 1), rows.shape))
+        return perturbed(mats, rows, i, j, factor)
+
+    def failing(pert):
+        lam, w1, residual, ok = perron_batch(pert)
+        bad = copied.pop()
         w1[bad, 0] *= 0.5  # a drop of w_1 that only a trusted failed solve would flag
         ok[bad] = False
-        return w1, ok
+        return lam, w1, residual, ok
 
-    monkeypatch.setattr(bulk._ChordSolver, "solve", failing)
+    monkeypatch.setattr(bulk, "_perturbed", recording)
+    monkeypatch.setattr(bulk, "perron_batch", failing)
     _undecided(monkeypatch)
     monkeypatch.setattr(bulk, "PREDICT_MIN_SHARE", 0.0)
     if predicted:
         monkeypatch.setattr(bulk, "_predict_entries",
                             lambda chord, thresh: (np.zeros(chord.cols.size, int), 1.0))
     _assert_same(_one(bulk.violation_flags(mats, w0, (1.01,), 1e-9)), (violated, violated))
+    assert copied == []
 
 
-@pytest.mark.parametrize("scale", ["discrete", "continuous"])
-@pytest.mark.parametrize("n", [3, 4, 6, 9])
-def test_undecided_solves_give_the_squaring_flags(monkeypatch, n, scale):
-    # with no solve certified, each one re-runs _ChordSolver.solve from w0,
-    # so the flags and ok bits are those of the squaring scan
-    mats, w0 = _population(n, scale)
+# (n, scale, factors, matrices); 1,024 matrices at n = 4 are too many
+# (column, entry) pairs for one call
+UNDECIDED_CASES = [
+    *(pytest.param(n, scale, FACTORS, 2048, id=f"{n}-{scale}")
+      for n in (3, 4, 6, 9) for scale in ("discrete", "continuous")),
+    pytest.param(4, "discrete", (1.1,), 1024, id="4-1.1"),
+    pytest.param(9, "discrete", (1.01,), 1024, id="9-1.01"),
+]
+
+
+@pytest.mark.parametrize("n, scale, factors, count", UNDECIDED_CASES)
+def test_undecided_solves_give_the_squaring_flags(monkeypatch, n, scale, factors, count):
+    # with no solve certified, every solve the scan yields goes to the
+    # squaring fallback on its explicit copy, so the flags and ok bits are
+    # those of the squaring scan
+    mats, w0 = _population(n, scale, count)
     _undecided(monkeypatch)
-    solved = []
-    solve = bulk._ChordSolver.solve
+    calls = _recorded_solves(monkeypatch)
+    squared = _fallback_rows(monkeypatch)
+    got = bulk.violation_flags(mats, w0, factors, 1e-9)
+    assert sum(squared) == sum(cols.size for cols, _, _ in calls) > 0
+    monkeypatch.undo()
+    for f, factor in enumerate(factors):
+        want = _reference(n, scale, factor, count)
+        _assert_same(_one(got, f), want)
+        _assert_witness(want, mats, factor)
 
-    def spy(self, cols, i, j):
-        solved.append(cols.size)
-        return solve(self, cols, i, j)
 
-    monkeypatch.setattr(bulk._ChordSolver, "solve", spy)
+# 4x4 sweep ordinals with a solve at factor 1.1, at the given 0-based entry,
+# that both certificate rounds leave undecided with no patched slack, whether
+# audited in their 16,384-ordinal sweep chunk (which left 8 of its 293,353
+# solves undecided) or alone
+LEFTOVERS = {242: (2, 3), 548: (2, 3), 1412: (1, 2), 1430: (1, 2)}
+
+
+def test_unforced_leftover_solves_go_to_squaring(monkeypatch):
+    ordinals = np.array(list(LEFTOVERS))
+    mats = matrices_from_upper(4, ordinal_to_upper(ordinals))
+    _, w0, _, ok = bulk.perron_batch(mats)
+    assert ok.all()
+    copied = []
+    perturbed = bulk._perturbed
+
+    def recording(mats, rows, i, j, factor):
+        copied.extend(zip(ordinals[rows].tolist(), *(np.broadcast_to(x, rows.shape).tolist()
+                                                     for x in (i, j, factor))))
+        return perturbed(mats, rows, i, j, factor)
+
+    monkeypatch.setattr(bulk, "_perturbed", recording)
+    squared = _fallback_rows(monkeypatch)
     got = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
-    assert solved
+    assert sorted(copied) == sorted((o, i, j, 1.1) for o, (i, j) in LEFTOVERS.items())
+    assert squared == [len(LEFTOVERS)]
+    monkeypatch.undo()
     for f, factor in enumerate(FACTORS):
-        _assert_same(_one(got, f), _reference(n, scale, factor))
+        _assert_same(_one(got, f), squaring_scan(mats, w0, factor, 1e-9))
 
 
 def test_overflow_counts_as_failure_without_a_warning():
@@ -396,7 +457,8 @@ def test_certificates_hold_against_exact_perron_vectors(monkeypatch):
 
 def _recorded_solves(monkeypatch):
     """A list that receives each chord call's ``(cols, i, j)``, in order:
-    the scan order's calls, each certified before any re-solve."""
+    the scan order's calls, each certified before its undecided solves go to
+    squaring."""
     calls = []
     certify = bulk._ChordSolver.certify
 
@@ -551,9 +613,9 @@ def test_bordered_inverse_matches_lapack(n, kind):
 
 @pytest.mark.parametrize("n", [4, 6, 9])
 def test_inverse_accuracy_sets_only_the_step_count(monkeypatch, n):
-    # an inverse off by 0.1% costs chord steps but moves no flag or ok bit:
-    # the radius bounds whatever iterate it gives, and every accepted
-    # re-solve passes the residual test of a base solve
+    # an inverse off by 0.1% may leave more solves undecided but moves no
+    # flag or ok bit: the radius bounds whatever iterate it gives, and the
+    # undecided are solved by squaring, which takes no inverse
     mats, w0 = _population(n, "discrete")
     want = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
     inverse = bulk._bordered_inverse
@@ -591,35 +653,16 @@ def test_audit_factors_rejects(factors, margin, match):
 
 def test_n9_audit_at_factor_101_needs_no_fallback(monkeypatch):
     mats, w0 = _population(9, "discrete")
-    fallback_rows = []
-
-    def counting(pert, **kwargs):
-        fallback_rows.append(len(pert))
-        return perron_batch(pert, **kwargs)
-
-    perron_batch = bulk.perron_batch
-    monkeypatch.setattr(bulk, "perron_batch", counting)
+    squared = _fallback_rows(monkeypatch)
     bulk.violation_flags(mats, w0, (1.01,), 1e-9)
-    assert fallback_rows == []
-
-
-@pytest.mark.parametrize("n, factor", [(4, 1.1), (9, 1.01)])
-def test_squaring_fallback_alone_gives_the_same_flags(monkeypatch, n, factor):
-    # 1024 matrices: too many (column, entry) pairs for one call at n = 4;
-    # no solve is certified, and no chord step is accepted
-    mats, w0 = _population(n, "discrete", 1024)
-    want = squaring_scan(mats, w0, factor, 1e-9)
-    _undecided(monkeypatch)
-    monkeypatch.setattr(bulk, "CHORD_STEPS", 0)
-    _assert_same(_one(bulk.violation_flags(mats, w0, (factor,), 1e-9)), want)
-    _assert_witness(want, mats, factor)
+    assert squared == []
 
 
 def test_unreachable_tolerance_fails_every_row(monkeypatch):
-    # a chord iterate can reach a residual of exactly 0.0 in floating point,
-    # so only a negative tolerance is out of reach for every row; at n = 5
-    # the block takes the predicted-entry stage, at n = 4 one pair call.
-    # The tolerance only judges the re-solves of undecided solves: with
+    # a solve can reach a residual of exactly 0.0 in floating point, so only
+    # a negative tolerance is out of reach for every row; at n = 5 the block
+    # takes the predicted-entry stage, at n = 4 one pair call. Under the
+    # audit the tolerance only judges the squaring of undecided solves: with
     # every solve certified no row fails, and with none every row does.
     populations = [_population(n, "discrete", 256) for n in (5, 4)]
     want = [squaring_scan(mats, w0, 1.01, 1e-9) for mats, w0 in populations]
