@@ -167,15 +167,19 @@ All factors share one scan. Within a block of B matrices the scan runs over
 F*B (matrix, factor) columns, column c being matrix c % B at factor
 ``factors[c // B]``: the inverse is computed once per matrix and tiled to
 its F columns, and the entry corrections, and the squaring fallback, take
-each column's own factor. The per-column arithmetic is that of a scan at one
-factor, so the flags do not depend on which factors share a call. A column
-flagged at one factor leaves the scan while the same matrix is still scanned
-at the others. The batches are small (a stride-300 sweep chunk holds about
-440 matrices), so the time goes into numpy calls rather than arithmetic.
-A certificate's steps take no test, and its rounds compact the undecided
-once each.
+each column's own factor. A column's chord iterates are not bit for bit the
+same in every grouping, as numpy's stacked products may round a column
+differently with the number of columns beside it, so which solves a
+certificate leaves undecided can move with the grouping. The flags do not
+depend on which factors or matrices share a call: every decision is
+certified, the decision of exact arithmetic, or comes from the squaring of
+the solve's own explicit copy. A column flagged at one factor leaves the
+scan while the same matrix is still scanned at the others. The batches are
+small (a stride-300 sweep chunk holds about 440 matrices), so the time goes
+into numpy calls rather than arithmetic. A certificate's steps take no
+test, and its rounds compact the undecided once each.
 
-Scan orders. :func:`_scan_order` only yields a block's solves, each a
+Scan order. :func:`_scan_order` only yields a block's solves, each a
 chord call on some columns at one shared entry or at one entry per column;
 every flag and every failure comes from the one step in
 :func:`_audit_block`, which certifies each call's solves, squares the
@@ -183,24 +187,26 @@ undecided on explicit copies, marks the columns whose squaring failed and
 flags those that a certificate or a converged squaring drops some ratio of. The order
 decides which solves run, never how one is judged, so ``violated`` and
 ``ok`` do not depend on it (:func:`violation_flags` states the rule).
-Each block takes one of three orders. The row-major order yields one upper
-entry per call, over the columns not yet flagged, so a column leaves at its
-first flag. The all-pairs order yields every (column, entry) pair of the
-block in one call, and the predicted order every column at its predicted
-entry and then the other entries of the columns left unflagged, as pairs
-at most ``AUDIT_BLOCK`` a call; there is no early exit among pairs.
+It follows one rule. A block at n >= ``PREDICT_MIN_N`` whose (column,
+entry) pairs do not fit in one call of ``AUDIT_BLOCK`` first solves every
+column at its predicted entry (below). The pairs left, all of the block's
+where nothing was predicted, then go in one call if they fit in
+``AUDIT_BLOCK``, with no early exit among them. If they do not fit, the
+block yields one shared entry a call, in row-major order, over the columns
+not yet flagged, less those whose predicted entry it is: a column leaves at
+its first flag, and no (column, entry) pair is solved twice.
 
 Block size. In small blocks numpy's per-call cost outweighs the
-arithmetic, so a block that does not take the predicted order below and
-whose (column, entry) pairs fit in ``AUDIT_BLOCK`` has them all yielded in
-one call. Against per-entry squaring solves (best of 5 over 20 blocks of
-1-127 matrices per case, 1 or 3 factors, 2 vCPUs) that took 0.11-0.83 of
-the time at n >= 4, 1.03 for one matrix at n = 9 and 3 factors, and up to
-1.28 (0.12 ms) at n = 3; fig4's under-cap blocks, a quarter to a fifth.
+arithmetic, so a block whose (column, entry) pairs fit in ``AUDIT_BLOCK``
+has them all yielded in one call, and predicts nothing. Against per-entry
+squaring solves (best of 5 over 20 blocks of 1-127 matrices per case, 1 or
+3 factors, 2 vCPUs) that took 0.11-0.83 of the time at n >= 4, 1.03 for
+one matrix at n = 9 and 3 factors, and up to 1.28 (0.12 ms) at n = 3;
+fig4's under-cap blocks, a quarter to a fifth.
 
-Predicted entry. In a block at n >= ``PREDICT_MIN_N`` whose columns
-mostly flag, the order does not walk the upper entries in row-major order;
-it yields first, for each column, the entry predicted to flag it. The
+Predicted entry. A block at n >= ``PREDICT_MIN_N`` too large for one pair
+call does not open at entry (1, 2): it yields first, for each column, the
+entry predicted to flag it. The
 w-block M of the bordered inverse maps w0 to zero (the bordered system with
 right-hand side (w0, 0) is solved by (0, -1)), and the base residual is
 below the noise, so the first chord iterate for a raise of a_ij is
@@ -211,69 +217,50 @@ moves ln(w_i/w_k) by alpha (G_ki - G_ii) + beta (G_kj - G_ij): O(n) per
 entry whose move is the most negative over k, in slabs of ``SLAB``
 columns, which bounds its temporaries. One chord call solves every column
 at its own entry; the columns it does not flag stay held, and their other
-entries follow as (column, entry) pairs. The prediction only orders the
-work. The scan returns flags alone, so the order leaves no trace (see
-Witness below). At factor 1.01, over 16,384 matrices per case, the
-predicted entry flagged 99.8% (n = 5) to 100.0% (n = 9) of the violating
-matrices, against 16-17% for entry (1, 2), and the perturbed solves per
-matrix fell from 6.3-6.5 to 3.9 (n = 5), 2.6 (n = 6) and 1.06 (n = 9,
-discrete).
+entries follow. The prediction only orders the work. The scan returns
+flags alone, so the order leaves no trace (see Witness below). At factor
+1.01, over 16,384 matrices per case, the predicted entry flagged 99.8%
+(n = 5) to 100.0% (n = 9) of the violating matrices, against 16-17% for
+entry (1, 2), and the perturbed solves per matrix fell from 6.3-6.5 to 3.9
+(n = 5), 2.6 (n = 6) and 1.06 (n = 9, discrete).
 
-What the predicted order adds is the prediction, one solve per column that
-its entry does not flag, and pairs with no early exit and one entry per
-solve, which index more per step than a shared entry. So the gain tracks
-the share of columns that flag, not n: where few flag, as among the
-under-cap matrices that a fig4 run audits, it costs. :func:`_predict_entries`
-measures that share, in the slab pass that picks the entries and before any
-solve, as the share of the block's columns whose least first-order move
-lies below the drop test's threshold. The predicted order runs where that
-share is at least ``PREDICT_MIN_SHARE``. Timing ``violation_flags`` with
-the row-major order, with the predicted order forced and as gated,
-alternately (10 rounds, 2 vCPUs, numpy 2.4.6; 16,384 matrices in blocks of
-4096 at factor 1.01, their under-cap rows for fig4, and eight stride-299
-sweep chunks of about 440 matrices at three factors):
+One rule, not a gate. The order once chose, per block at n >= 5, between
+the row-major order, the predicted order with its pairs in calls of
+``AUDIT_BLOCK`` and one call of all pairs, by a gate on the share of
+columns predicted to flag (0.25). That gate's crossovers were measured
+before the certificates, which made each solve cheaper, and it paid for
+the prediction even where it then kept the row-major order. Timing
+``violation_flags`` under the one rule against the gated scan (median of 4
+alternating processes, best of 5 in each, 2 vCPUs, numpy 2.4.6; factor
+1.01 unless three factors are given; "near" draws a_ij = exp(s_i - s_j +
+0.5 z_ij), s and z standard normal; the flags and ok bits were the same in
+every case):
 
-    ===============================  =====  =====  =========  ========  ======
-    population                       rows   flag   row-major  forced    gated
-    ===============================  =====  =====  =========  ========  ======
-    n = 4 sweep chunks, 3 factors    3508   0.18   50 ms      1.17      row
-    fig2 n = 4 discrete              16384  0.32   58 ms      1.12      row
-    fig2 n = 4 continuous            16384  0.33   61 ms      1.16      row
-    fig2 n = 5 discrete              16384  0.68   82 ms      0.87      0.87
-    fig2 n = 5 continuous            16384  0.70   81 ms      0.85      0.87
-    fig2 n = 6 discrete              16384  0.89   105 ms     0.70      0.71
-    fig2 n = 6 continuous            16384  0.90   99 ms      0.69      0.69
-    fig2 n = 9 discrete              16384  1.00   251 ms     0.68      0.60
-    fig2 n = 9 continuous            16384  1.00   181 ms     0.70      0.60
-    fig4 n = 5 discrete              1844   0.04   13 ms      1.30      row
-    fig4 n = 5 continuous            1889   0.05   12 ms      1.21      row
-    fig4 n = 6 discrete              649    0.16   8.4 ms     1.06      row
-    fig4 n = 6 continuous            701    0.21   9.8 ms     0.96      row
-    fig4 n = 7 discrete              159    0.33   6.2 ms     0.53      0.53
-    fig4 n = 7 continuous            169    0.39   6.3 ms     0.51      0.50
-    ===============================  =====  =====  =========  ========  ======
+    ==================================  =====  =========  ======  =========
+    population                          rows   flagged    gated   rule
+    ==================================  =====  =========  ======  =========
+    fig2 n = 5 discrete                 16384  0.68       32 ms   0.87
+    fig2 n = 6 discrete                 16384  0.89       33 ms   0.96
+    fig2 n = 9 discrete                 16384  1.00       56 ms   0.95
+    fig4 n = 5 under-cap                1831   0.03       5.7 ms  0.86
+    fig4 n = 6 under-cap                643    0.16       4.0 ms  0.82
+    fig4 n = 7 under-cap                166    0.33       1.6 ms  1.07
+    near n = 9                          2048   0          30 ms   0.99
+    near n = 16                         2048   0          201 ms  1.07
+    fig2 n = 5 discrete, 3 factors      4096   0.67       21 ms   0.92
+    fig2 n = 6 discrete, 3 factors      4096   0.89       19 ms   1.01
+    sweep n = 4, 3 x 16,384, 3 factors  49152  0.21       131 ms  1.03
+    sweep n = 4, stride 299, 3 factors  439    0.24-0.45  2.0 ms  0.99-1.01
+    ==================================  =====  =========  ======  =========
 
-The forced and gated columns are time ratios to the row-major order. "row"
-means the gate (at n = 4, ``PREDICT_MIN_N``) kept the row-major order.
-These timings, and the crossovers below, were taken when every solve stepped
-to the residual test; the certificates make each solve cheaper but leave the
-orders' calls as they were, and the ratios were not taken again.
-Where it does at n >= 5, the prediction is the gate's whole cost: on the
-under-cap rows of five fig4 chunks at n = 5 and 6 (600-1,900 rows a chunk,
-factor 1.01, 12 alternating rounds), the gated audit took a median
-1.04-1.06 of the time with no prediction. Where the gate passes, the
-predicted order reuses the moves, and forced and gated run the same code;
-their ratios differ by up to 0.1, the spread of these timings. Blocks of
-fig2 matrices drawn to a set share of flagging columns (n = 5 and 6,
-discrete) put the crossover at a share of 0.15-0.25 for blocks of 600
-columns and 0.35-0.5 for 1500 and 4096: the fewer the columns, the more the
-row-major order's one call per entry costs. A share of 0.25 keeps every
-fig4 population at n <= 6 on the row-major order, where the predicted one
-read 0.96-1.30 of its time, and sends fig4 at n = 7, where it halves that
-time, to the predicted order; blocks of 1500 columns and more at a share of
-0.25-0.35 pay up to about 10% for that. n <= 4, which is the sweep, keeps
-the row-major order at any share: with six upper entries the predicted
-order did not pay even where a third of the columns flag (fig2 at n = 4).
+The rule is the ratio to the gated time. The stride-299 rows are four
+chunks at ordinals 0, 6.3M, 12.6M and 18.9M. At n = 4 the calls are those
+of the gated scan, which never predicted there, so those ratios are noise;
+predicting at n = 4, with six upper entries, took 1.09-1.27 of the time on
+sweep chunks. fig4's n = 7 blocks now fit one pair call, which has no early
+exit, where the gate sent them to the predicted order. In the near blocks
+at n = 16, every row-major call leaves out the columns whose predicted
+entry it is, so each of the 119 takes a copy of the held columns.
 
 Full scan. :func:`_full_scan` solves every upper entry of every column by
 squaring, or by the geometric mean, with no early exit. The scalar audit in
@@ -313,15 +300,13 @@ RESIDUAL_RTOL = 1e-12
 # still undecided are squared on explicit copies, as the full scan solves
 # them; see the module docstring.
 CERTIFY_STEPS = (2, 2)
-# Matrices per audit block, each bringing one column per factor, and
-# (column, entry) pairs per chord call of the pair orders; bounds their
+# Matrices per audit block, each bringing one column per factor, and the
+# most (column, entry) pairs a block solves in one call; bounds their
 # working sets.
 AUDIT_BLOCK = 4096
-# Blocks of matrices this size and up solve each column's predicted
-# entry first, where the prediction says that at least PREDICT_MIN_SHARE
-# of their columns flag; see the module docstring.
+# Blocks of n x n matrices, n this or more, whose pairs do not fit in one
+# call solve each column's predicted entry first; see the module docstring.
 PREDICT_MIN_N = 5
-PREDICT_MIN_SHARE = 0.25
 # Matrices per slab of the squarings (base solve and root bounds), columns
 # per slab of the entry prediction and of the bordered inverse; bounds
 # their temporaries, which at n = 9 then fit a 2 MB cache.
@@ -480,8 +465,8 @@ def violation_flags(
     only when none does and some such squaring did not converge. A
     certified solve is never a failure. That rule does not depend on the
     order in which entries are solved. The solves run on the chord scan,
-    in blocks of ``AUDIT_BLOCK`` matrices, in one of the orders of the
-    module docstring. Returns ``(violated, ok)``, booleans of
+    in blocks of ``AUDIT_BLOCK`` matrices, in the order of the module
+    docstring. Returns ``(violated, ok)``, booleans of
     shape (F, B) indexed by factor first, ``ok`` False for failures. A
     flagged matrix's witness is read by :func:`first_violations`.
     """
@@ -536,7 +521,7 @@ def _audit_block(mats, w0, factors, thresh):
     with np.errstate(all="ignore"):
         chord = _ChordSolver(mats, w0, factors)
         violated, failed = np.zeros((2, factors.size * b), dtype=bool)
-        for cols, i, j in _scan_order(chord, thresh, violated):
+        for cols, i, j in _scan_order(chord, violated):
             flagged, clear = chord.certify(cols, i, j, thresh)
             left = np.flatnonzero(~(flagged | clear))
             if left.size:
@@ -550,48 +535,41 @@ def _audit_block(mats, w0, factors, thresh):
     return violated, violated | ~failed
 
 
-def _scan_order(chord, thresh, violated):
+def _scan_order(chord, violated):
     """Yield the chord solves of one block as ``(cols, i, j)``, holding in
     ``chord`` the columns each one needs; the caller marks the flags in
-    ``violated``, which is re-read before each entry.
+    ``violated``, which is re-read after each call.
 
-    A block at n >= ``PREDICT_MIN_N`` in which :func:`_predict_entries`
-    finds that at least ``PREDICT_MIN_SHARE`` of the columns flag yields
-    each column at its predicted entry in one call, then the other entries
-    of the columns that call left unflagged as (column, entry) pairs, at
-    most ``AUDIT_BLOCK`` a call. A block whose pairs fit in one call yields
-    them at once. The others yield one shared entry a call, in row-major
-    order, over the columns not yet flagged, and stop once every column has
-    flagged.
+    A block at n >= ``PREDICT_MIN_N`` whose (column, entry) pairs do not fit
+    in one call of ``AUDIT_BLOCK`` first yields every column at the entry
+    :func:`_predict_entries` picks for it. The pairs left then go in one
+    call if they fit in ``AUDIT_BLOCK``; if not, one shared entry a call, in
+    row-major order, over the columns not yet flagged, less those whose
+    predicted entry it is, until every column has flagged.
     """
     n = len(chord.w0)
     iu, ju = np.triu_indices(n, 1)
     cols = chord.cols
     first = None
-    if n >= PREDICT_MIN_N:
-        first, share = _predict_entries(chord, thresh)
-        if share < PREDICT_MIN_SHARE:
-            first = None
-    if first is None and cols.size * iu.size > AUDIT_BLOCK:
-        for i, j in itertools.combinations(range(n), 2):
-            cols = np.flatnonzero(~violated)
-            if cols.size == 0:
-                return
-            chord.hold(cols)
-            yield cols, i, j
-        return
-    if first is not None:
+    if n >= PREDICT_MIN_N and cols.size * iu.size > AUDIT_BLOCK:
+        first = _predict_entries(chord)
         yield cols, iu[first], ju[first]
         cols = np.flatnonzero(~violated)
         chord.hold(cols)
-    pair_col = np.repeat(cols, iu.size)
-    pair_e = np.tile(np.arange(iu.size), cols.size)
-    if first is not None:
-        keep = pair_e != first[pair_col]
-        pair_col, pair_e = pair_col[keep], pair_e[keep]
-    for lo in range(0, pair_col.size, AUDIT_BLOCK):
-        e = pair_e[lo:lo + AUDIT_BLOCK]
-        yield pair_col[lo:lo + AUDIT_BLOCK], iu[e], ju[e]
+    if cols.size * (iu.size - (first is not None)) <= AUDIT_BLOCK:
+        pair_col = np.repeat(cols, iu.size)
+        pair_e = np.tile(np.arange(iu.size), cols.size)
+        if first is not None:
+            keep = pair_e != first[pair_col]
+            pair_col, pair_e = pair_col[keep], pair_e[keep]
+        yield pair_col, iu[pair_e], ju[pair_e]
+        return
+    for e, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        cols = np.flatnonzero(~violated)
+        if cols.size == 0:
+            return
+        chord.hold(cols)
+        yield cols if first is None else cols[first[cols] != e], i, j
 
 
 def _full_scan(mats, w0, factors, thresh, use_eigen):
@@ -630,20 +608,15 @@ def _drops(w0: np.ndarray, w1: np.ndarray, i, thresh: float) -> np.ndarray:
     return worse
 
 
-def _predict_entries(chord, thresh: float) -> tuple[np.ndarray, float]:
+def _predict_entries(chord) -> np.ndarray:
     """Per held column, the row-major index of the upper entry whose first
-    chord iterate lowers some ln(w_i/w_k) the most (module docstring), and
-    the share of held columns whose least such move lies below
-    ln(``thresh``), in slabs of ``SLAB`` columns."""
+    chord iterate lowers some ln(w_i/w_k) the most (module docstring), in
+    slabs of ``SLAB`` columns."""
     pick = np.empty(chord.cols.size, dtype=np.intp)
-    below = 0
     for lo in range(0, pick.size, SLAB):
         cols = slice(lo, lo + SLAB)
-        moves = _first_moves(chord, cols)
-        pick[cols] = np.argmin(moves, axis=0)
-        below += np.count_nonzero(np.min(moves, axis=0) < np.log(thresh))
-        del moves  # not held while the next slab's are computed
-    return pick, below / pick.size
+        pick[cols] = np.argmin(_first_moves(chord, cols), axis=0)
+    return pick
 
 
 def _first_moves(chord, cols: slice) -> np.ndarray:

@@ -225,9 +225,7 @@ def test_prediction_only_orders_the_work(monkeypatch, n, scale):
     # a deliberately poor first guess, the last upper entry for every column:
     # flags and ok bits must not move
     last = n * (n - 1) // 2 - 1
-    monkeypatch.setattr(bulk, "_predict_entries",
-                        lambda chord, thresh: (np.full(chord.cols.size, last), 1.0))
-    monkeypatch.setattr(bulk, "PREDICT_MIN_SHARE", 0.0)
+    monkeypatch.setattr(bulk, "_predict_entries", lambda chord: np.full(chord.cols.size, last))
     mats, w0 = _population(n, scale)
     got = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
     for f, factor in enumerate(FACTORS):
@@ -285,10 +283,8 @@ def test_a_failed_solve_does_not_hide_a_flag_at_another_entry(monkeypatch, n, pr
     monkeypatch.setattr(bulk, "_perturbed", recording)
     monkeypatch.setattr(bulk, "perron_batch", failing)
     _undecided(monkeypatch)
-    monkeypatch.setattr(bulk, "PREDICT_MIN_SHARE", 0.0)
     if predicted:
-        monkeypatch.setattr(bulk, "_predict_entries",
-                            lambda chord, thresh: (np.zeros(chord.cols.size, int), 1.0))
+        monkeypatch.setattr(bulk, "_predict_entries", lambda chord: np.zeros(chord.cols.size, int))
     _assert_same(_one(bulk.violation_flags(mats, w0, (1.01,), 1e-9)), (violated, violated))
     assert copied == []
 
@@ -425,7 +421,7 @@ def test_certificates_hold_against_exact_perron_vectors(monkeypatch):
                 w0_exact = _mp_perron(mpmath, a)
                 # the entry predicted to lower some ratio the most, and another
                 predicted = bulk._predict_entries(
-                    bulk._ChordSolver(a[None], w0, np.array([1.01])), thresh)[0][0]
+                    bulk._ChordSolver(a[None], w0, np.array([1.01])))[0]
                 other = rng.choice(np.delete(np.arange(n * (n - 1) // 2), predicted))
                 entries = [predicted, other]
                 for (i, j), factor in itertools.product(
@@ -470,26 +466,46 @@ def _recorded_solves(monkeypatch):
     return calls
 
 
-def test_predicted_stage_runs_where_most_columns_flag(monkeypatch):
+def test_predicted_stage_runs_where_the_pairs_do_not_fit(monkeypatch):
     # at n = 5 most random matrices flag; few of those under CR 0.4, the
-    # ones a fig4 run audits, do. The predicted order runs on the first
-    # only, and either way the flags and witnesses are those of the
-    # squaring scan.
+    # ones a fig4 run audits, do. A block whose (column, entry) pairs do not
+    # fit in one call opens with every column at its predicted entry,
+    # whatever share of them flags; a block whose pairs fit is solved in one
+    # pair call and predicts nothing. Either way the flags and witnesses are
+    # those of the squaring scan.
     mats, w0 = _population(5, "discrete", 4096)
     lam = bulk.perron_batch(mats)[0]
     ri = default_random_index_table("discrete").lookup(5)
     low = np.flatnonzero((lam - 5) / 4 / ri < 0.4)
+    fits = bulk.AUDIT_BLOCK // 10
+    assert low.size > fits
+    predicted = []
+    predict = bulk._predict_entries
+
+    def counting(chord):
+        predicted.append(chord.cols.size)
+        return predict(chord)
+
+    monkeypatch.setattr(bulk, "_predict_entries", counting)
     calls = _recorded_solves(monkeypatch)
-    for rows, predicted in ((np.arange(1024), True), (low, False)):
+    shares = []
+    for rows, opens in ((np.arange(1024), True), (low, True), (np.arange(fits), False)):
         calls.clear()
+        predicted.clear()
         got = _one(bulk.violation_flags(mats[rows], w0[rows], (1.01,), 1e-9))
-        # the predicted order opens with one entry per column, over every column
         cols, i, _ = calls[0]
-        assert (np.ndim(i) == 1 and np.array_equal(cols, np.arange(rows.size))) == predicted
+        assert np.ndim(i) == 1
+        if opens:
+            # one entry per column, over every column
+            assert predicted == [rows.size]
+            np.testing.assert_array_equal(cols, np.arange(rows.size))
+        else:
+            assert predicted == [] and len(calls) == 1 and cols.size == 10 * rows.size
         want = squaring_scan(mats[rows], w0[rows], 1.01, 1e-9)
         _assert_same(got, want)
         _assert_witness(want, mats[rows], 1.01)
-        assert want[0].mean() > 0.5 if predicted else want[0].mean() < 0.25
+        shares.append(want[0].mean())
+    assert shares[0] > 0.5 and shares[1] < 0.25
 
 
 def _unflagged_population(n, count=512):
@@ -506,9 +522,13 @@ def _unflagged_population(n, count=512):
     return mats, w0
 
 
-# PREDICT_MIN_SHARE and AUDIT_BLOCK that force each order on 512 matrices
-# at three factors: 1536 columns, 15 or 21 upper entries each
-ORDERS = {"row-major": (2.0, 4096), "predicted": (0.0, 1000), "all pairs": (2.0, 10**5)}
+# AUDIT_BLOCK, for E upper entries, that forces each order on 512 matrices
+# at three factors, 1536 columns: one call of every (column, entry) pair
+# ("all pairs"), or every column at its predicted entry and then the other
+# pairs in one call ("predicted") or one shared entry a call in row-major
+# order ("row-major")
+ORDERS = {"row-major": lambda e: 4096, "predicted": lambda e: 1536 * (e - 1),
+          "all pairs": lambda e: 1536 * e}
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -516,26 +536,59 @@ ORDERS = {"row-major": (2.0, 4096), "predicted": (0.0, 1000), "all pairs": (2.0,
 def test_each_order_solves_every_entry_of_an_unflagged_column_once(monkeypatch, n, order):
     # flags alone cannot show an entry that an order skips, if it would not
     # have flagged: count the (column, entry) solves instead
-    share, block = ORDERS[order]
-    monkeypatch.setattr(bulk, "PREDICT_MIN_SHARE", share)
-    monkeypatch.setattr(bulk, "AUDIT_BLOCK", block)
+    entries = n * (n - 1) // 2
+    monkeypatch.setattr(bulk, "AUDIT_BLOCK", ORDERS[order](entries))
     calls = _recorded_solves(monkeypatch)
     mats, w0 = _unflagged_population(n)
     violated, ok = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
     assert not violated.any() and ok.all()
 
     per_solve = [np.ndim(i) == 1 for _, i, _ in calls]
-    entries = n * (n - 1) // 2
-    if order == "row-major":
-        assert per_solve == [False] * entries
-    elif order == "all pairs":
+    if order == "all pairs":
         assert per_solve == [True]
     else:
-        assert all(per_solve) and np.array_equal(calls[0][0], np.arange(len(FACTORS) * 512))
+        assert per_solve == [True] + ([True] if order == "predicted" else [False] * entries)
+        np.testing.assert_array_equal(calls[0][0], np.arange(len(FACTORS) * 512))
     solved = np.concatenate([(cols * n + i) * n + j for cols, i, j in calls])
     iu, ju = np.triu_indices(n, 1)
     every = (np.arange(len(FACTORS) * 512)[:, None] * n + iu) * n + ju
     np.testing.assert_array_equal(np.sort(solved), every.ravel())
+
+
+@pytest.mark.parametrize("tail", ["pairs", "row-major"])
+def test_predicted_stage_tails_solve_no_pair_twice_and_no_flagged_column(monkeypatch, tail):
+    # 512 fig2 matrices at n = 5 and three factors, 1536 columns of 10
+    # entries: the predicted call flags most of them, and the columns it
+    # leaves go on as one pair call or in row-major order, where some flag
+    # at a later entry. No (column, entry) pair is solved twice, the
+    # predicted one included, no column is solved once it has flagged, and
+    # the flags and ok bits are those of the squaring scan.
+    n, cols_total = 5, 3 * 512
+    mats, w0 = _population(n, "discrete", 512)
+    monkeypatch.setattr(bulk, "AUDIT_BLOCK", 10 * cols_total - 1 if tail == "pairs" else 1000)
+    calls = []  # per call, (cols, i, j) and the flags marked before it
+    scan = bulk._scan_order
+
+    def recording(chord, violated):
+        for cols, i, j in scan(chord, violated):
+            calls.append((cols, i, j, violated.copy()))
+            yield cols, i, j
+
+    monkeypatch.setattr(bulk, "_scan_order", recording)
+    got = bulk.violation_flags(mats, w0, FACTORS, 1e-9)
+    per_solve = [np.ndim(i) == 1 for _, i, _, _ in calls]
+    assert per_solve == [True] + ([True] if tail == "pairs" else [False] * 10)
+    np.testing.assert_array_equal(calls[0][0], np.arange(cols_total))
+    after_first = calls[1][3]
+    assert 0 < after_first.sum() < got[0].sum() < cols_total
+    solved = np.concatenate([cols * n * n + np.broadcast_to(i * n + j, cols.shape)
+                             for cols, i, j, _ in calls])
+    assert np.unique(solved).size == solved.size
+    for cols, _, _, flagged in calls:
+        assert not flagged[cols].any()
+    monkeypatch.undo()
+    for f, factor in enumerate(FACTORS):
+        _assert_same(_one(got, f), _reference(n, "discrete", factor, 512))
 
 
 def test_row_major_order_stops_once_every_column_has_flagged(monkeypatch):
@@ -661,10 +714,11 @@ def test_n9_audit_at_factor_101_needs_no_fallback(monkeypatch):
 def test_unreachable_tolerance_fails_every_row(monkeypatch):
     # a solve can reach a residual of exactly 0.0 in floating point, so only
     # a negative tolerance is out of reach for every row; at n = 5 the block
-    # takes the predicted-entry stage, at n = 4 one pair call. Under the
-    # audit the tolerance only judges the squaring of undecided solves: with
-    # every solve certified no row fails, and with none every row does.
-    populations = [_population(n, "discrete", 256) for n in (5, 4)]
+    # of 512 matrices, too many pairs for one call, takes the predicted-entry
+    # stage, at n = 4 the 256 matrices one pair call. Under the audit the
+    # tolerance only judges the squaring of undecided solves: with every
+    # solve certified no row fails, and with none every row does.
+    populations = [_population(5, "discrete", 512), _population(4, "discrete", 256)]
     want = [squaring_scan(mats, w0, 1.01, 1e-9) for mats, w0 in populations]
     monkeypatch.setattr(bulk, "RESIDUAL_RTOL", -1.0)
     for (mats, w0), (violated, _, _) in zip(populations, want):
@@ -783,16 +837,12 @@ def test_slabs_square_bit_for_bit(monkeypatch, n, scale):
 @pytest.mark.parametrize("n", [5, 9])
 def test_predicted_entries_in_slabs_match_one_pass(n):
     # blocks that end before, at and after a slab edge: the pick of every
-    # column is the argmin of the unslabbed moves, and the share counts the
-    # columns of the whole block whose least move is below ln(thresh)
+    # column is the argmin of the unslabbed moves
     mats, w0 = _population(n, "discrete", 2 * bulk.SLAB + 3)
-    thresh = 1.0 - 1e-9
     for rows in SLAB_EDGES[1:]:
         chord = bulk._ChordSolver(mats[:rows], w0[:rows], np.array([1.01]))
         moves = bulk._first_moves(chord, slice(None))
-        pick, share = bulk._predict_entries(chord, thresh)
-        np.testing.assert_array_equal(pick, np.argmin(moves, axis=0))
-        assert share == np.count_nonzero(moves.min(axis=0) < np.log(thresh)) / rows
+        np.testing.assert_array_equal(bulk._predict_entries(chord), np.argmin(moves, axis=0))
 
 
 @pytest.mark.parametrize("n", [4, 9])

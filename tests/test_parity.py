@@ -1,4 +1,4 @@
-"""Parity gate: the CSV and run-JSON bytes of five batch runs, the JSON
+"""Parity gate: the CSV and run-JSON bytes of six batch runs, the JSON
 histograms of two of them, the JSON reports of analyze, audit and ri, and
 the audit reports of the benchmark matrix files are pinned.
 
@@ -49,6 +49,15 @@ RUNS = {
          "--seed", "3", "--iters", "20000"],
         {".csv": "125933699c36dce9af4fced23225838c90962a9971bc1e5e471cfaa8c55f5605",
          ".json": "d303a81f978b03b0de4fd7fc0eb7ba5a617115fa95e04f0a78e7f59bb19ba9b5"},
+    ),
+    # recorded while the under-cap blocks still took the row-major order,
+    # before every block too large for one call opened with its predicted
+    # entries
+    "simulate_fig4_n5": (
+        ["simulate", "--preset", "fig4", "--n", "5", "--scale", "discrete",
+         "--seed", "3", "--iters", "20000"],
+        {".csv": "79a9433208c984ef3308d902829cfc50d999941c89ffaa7c92b2264a2d414875",
+         ".json": "c52a844bc3a8f4e081d0674374b7b0a4877b48c4c50a34d10aa2cf9ed6470b0e"},
     ),
     # recorded before over-cap rows were settled by a Collatz-Wielandt screen
     "simulate_fig4_n9": (
